@@ -13,7 +13,7 @@ procedures and three betas) through
 1. the optimized core (:class:`repro.allocation.state.AllocationState`:
    precomputed duration/area/gain tables, incremental resource sums,
    array-compiled critical-path DP over the shared ``DagArrays``), and
-2. the pre-refactor loop kept in :mod:`repro.allocation._reference`,
+2. the pre-refactor loop frozen in ``tests/oracles/allocation.py``,
 
 checks that both produce **bit-identical allocations and iteration
 stats**, and asserts the optimized core is at least 4x faster.  A
@@ -38,7 +38,6 @@ try:
 except ModuleNotFoundError:  # standalone: python benchmarks/bench_allocation_core.py
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
     from benchmarks.conftest import full_scale, write_result
-from repro.allocation._reference import run_reference_allocation
 from repro.allocation.iterative import (
     AreaConstraint,
     LevelConstraint,
@@ -48,6 +47,7 @@ from repro.allocation.iterative import (
 from repro.allocation.reference import ReferenceCluster
 from repro.experiments.workload import WorkloadSpec, make_workload
 from repro.platform import grid5000
+from tests.oracles.allocation import run_reference_allocation
 
 #: Number of timed repetitions per implementation (best-of is reported).
 ROUNDS = 3

@@ -1,8 +1,8 @@
 """Benchmark E14 -- sub-millisecond admission: delta-EFT + batched kernels.
 
 The admission hot path of the streaming engine compounds three fast
-paths, each keeping its reference formulation switchable as a golden
-fallback:
+paths, each pinned bit-identical to an oracle frozen in
+``tests/oracles/``:
 
 1. **delta-EFT** placement: the placement engine caches each cluster's
    sorted free-time frontier across admissions and prunes clusters whose
@@ -17,18 +17,15 @@ fallback:
 
 This benchmark drives the streaming acceptance workload -- a seeded
 Poisson stream of 1000 PTG submissions on the composed 11-cluster
-Grid'5000 platform -- through a fully-optimized session (the production
-defaults) and through the **full-pass path**: the preserved pre-refactor
-reference implementations (`repro.mapping._reference`,
-`repro.allocation._reference`), which re-run the scalar per-cluster EFT
-scan and the dict-based per-iteration allocation DP for every admission,
-with per-graph compilation.  The gate requires the optimized amortized
-per-admission time to be at least **3x** better.  For transparency the
-summary also times the intermediate fallback -- the PR 2/3 vectorized
-cores with delta-EFT, the fused loop and batching disabled -- so the
-increment of each layer is visible.  The schedules and per-application
-makespans of all three runs must be bit-identical (the fast paths are
-exact); ``BENCH_delta.json`` records the summary.
+Grid'5000 platform -- through a production session fed the whole stream
+and through the **full-pass path**: a session on the oracles
+(``tests/oracles/mapping.py``, ``tests/oracles/allocation.py``), which
+re-run the scalar per-cluster EFT scan and the dict-based per-iteration
+allocation DP for every admission, admitting one arrival per call with
+per-graph compilation.  The gate requires the optimized amortized
+per-admission time to be at least **3x** better.  The schedules and
+per-application makespans of both runs must be bit-identical (the fast
+paths are exact); ``BENCH_delta.json`` records the summary.
 
 Run standalone with
 ``PYTHONPATH=src python benchmarks/bench_delta_eft.py`` or through
@@ -49,14 +46,11 @@ try:
 except ModuleNotFoundError:  # standalone: python benchmarks/bench_delta_eft.py
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
     from benchmarks.conftest import full_scale, write_result
-from repro.allocation._reference import run_reference_allocation
-from repro.allocation.iterative import LevelConstraint
-from repro.allocation.reference import ReferenceCluster
-from repro.allocation.scrap import ScrapMaxAllocator
-from repro.mapping._reference import reference_implementation
 from repro.platform import grid5000
 from repro.streaming.engine import StreamSession
 from repro.streaming.spec import ArrivalSpec, generate_arrivals
+from tests.oracles.allocation import ReferenceScrapMaxAllocator
+from tests.oracles.mapping import reference_implementation
 
 #: The acceptance workload: >= 1000 Poisson submissions on the composed
 #: multi-site platform (the reduced scale keeps CI wall time in check
@@ -67,25 +61,6 @@ N_ARRIVALS_REDUCED = 600
 #: Mean inter-arrival time (seconds); ~12s keeps the system stably
 #: loaded (a handful of concurrent applications) on the composed site.
 MEAN_GAP = 12.0
-
-
-class _FullPassAllocator(ScrapMaxAllocator):
-    """SCRAP-MAX routed through the pre-refactor allocation loop."""
-
-    def allocate(self, ptg, platform, beta=1.0):
-        reference = ReferenceCluster.of(platform)
-        constraint = LevelConstraint(beta, platform.total_power_gflops)
-        allocation, stats = run_reference_allocation(
-            ptg,
-            platform,
-            reference,
-            beta,
-            constraint,
-            use_balance_stop=self.use_balance_stop,
-            efficiency_threshold=self.efficiency_threshold,
-        )
-        self.last_stats = stats
-        return allocation
 
 
 def _assert_identical(fast_result, ref_result):
@@ -124,33 +99,16 @@ def run_delta_core():
     del fast_session
     gc.collect()
 
-    # -- intermediate fallback: PR 2/3 vectorized cores, this PR's fast -- #
-    # -- paths disabled -------------------------------------------------- #
-    tic = time.perf_counter()
-    mid_session = StreamSession(
-        platform,
-        allocator=ScrapMaxAllocator(fast=False),
-        delta=False,
-        batch_compile=False,
-    )
-    mid_session.feed(stream)
-    mid_result = mid_session.result()
-    mid_seconds = time.perf_counter() - tic
-    del mid_session
-    gc.collect()
-
-    # -- full pass: the preserved pre-refactor reference (scalar EFT ----- #
-    # -- scan, dict-based allocation DP, per-graph compilation) ---------- #
+    # -- full pass: the oracles (scalar EFT scan, dict-based allocation - #
+    # -- DP), one admit per arrival, so every graph compiles alone ------- #
     tic = time.perf_counter()
     with reference_implementation():
-        ref_session = StreamSession(
-            platform, allocator=_FullPassAllocator(), batch_compile=False
-        )
-        ref_session.feed(stream)
+        ref_session = StreamSession(platform, allocator=ReferenceScrapMaxAllocator())
+        for arrival in sorted(stream, key=lambda a: (a.time, a.ptg.name)):
+            ref_session.admit(arrival)
     ref_result = ref_session.result()
     ref_seconds = time.perf_counter() - tic
 
-    _assert_identical(fast_result, mid_result)
     _assert_identical(fast_result, ref_result)
 
     tasks = len(fast_result.schedule)
@@ -160,10 +118,8 @@ def run_delta_core():
         "tasks_scheduled": tasks,
         "horizon_seconds": fast_result.horizon(),
         "optimized_seconds": fast_seconds,
-        "fast_cores_fallback_seconds": mid_seconds,
         "full_pass_seconds": ref_seconds,
         "speedup_vs_full_pass": ref_seconds / fast_seconds,
-        "speedup_vs_fast_cores": mid_seconds / fast_seconds,
         "optimized_admission_ms": 1000.0 * fast_seconds / n_arrivals,
         "full_pass_admission_ms": 1000.0 * ref_seconds / n_arrivals,
     }
@@ -177,11 +133,6 @@ def bench_delta_eft(benchmark):
         f"optimized admission is only {summary['speedup_vs_full_pass']:.2f}x "
         f"faster than the full-pass path ({summary['optimized_seconds']:.2f}s "
         f"vs {summary['full_pass_seconds']:.2f}s)"
-    )
-    # the intermediate fallback shares the vectorized cores, so the gap is
-    # smaller: gate against a material regression, not noise
-    assert summary["speedup_vs_fast_cores"] >= 1.2, (
-        f"fast-cores regression: {summary['speedup_vs_fast_cores']:.2f}x"
     )
 
 

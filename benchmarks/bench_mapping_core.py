@@ -9,7 +9,7 @@ Grid'5000 site) through
 
 1. the optimized core (incrementally sorted timelines, batched EFT
    candidates, heap ready queue, memoized communication estimates), and
-2. the pre-refactor reference kept in :mod:`repro.mapping._reference`,
+2. the pre-refactor reference frozen in ``tests/oracles/mapping.py``,
 
 checks that both produce **bit-identical schedules**, and asserts the
 optimized core is at least 2x faster.  A ``BENCH_mapping_core.json``
@@ -34,13 +34,10 @@ except ModuleNotFoundError:  # standalone: python benchmarks/bench_mapping_core.
     from benchmarks.conftest import full_scale, write_result
 from repro.allocation.scrap import ScrapMaxAllocator
 from repro.experiments.workload import WorkloadSpec, make_workload
-from repro.mapping._reference import (
-    ReferenceReadyListMapper,
-    reference_implementation,
-)
 from repro.mapping.base import AllocatedPTG
 from repro.mapping.ready_list import ReadyListMapper
 from repro.platform import grid5000
+from tests.oracles.mapping import ReferenceReadyListMapper, reference_implementation
 
 #: Number of timed repetitions per implementation (best-of is reported).
 ROUNDS = 3

@@ -9,8 +9,8 @@ through
 1. the optimized cores (array-compiled allocation state + incremental
    timelines / batched EFT placement), sharing one ``DagArrays``
    compilation per PTG across both steps, and
-2. the pre-refactor formulations kept in
-   :mod:`repro.allocation._reference` and :mod:`repro.mapping._reference`,
+2. the pre-refactor formulations frozen in ``tests/oracles/allocation.py``
+   and ``tests/oracles/mapping.py``,
 
 checks that the final schedules are **bit-identical**, and asserts the
 combined pipeline is at least 3x faster.  A ``BENCH_pipeline_core.json``
@@ -34,17 +34,14 @@ try:
 except ModuleNotFoundError:  # standalone: python benchmarks/bench_pipeline_core.py
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
     from benchmarks.conftest import full_scale, write_result
-from repro.allocation._reference import run_reference_allocation
 from repro.allocation.iterative import LevelConstraint, run_iterative_allocation
 from repro.allocation.reference import ReferenceCluster
 from repro.experiments.workload import WorkloadSpec, make_workload
-from repro.mapping._reference import (
-    ReferenceReadyListMapper,
-    reference_implementation,
-)
 from repro.mapping.base import AllocatedPTG
 from repro.mapping.ready_list import ReadyListMapper
 from repro.platform import grid5000
+from tests.oracles.allocation import run_reference_allocation
+from tests.oracles.mapping import ReferenceReadyListMapper, reference_implementation
 
 #: Number of timed repetitions per implementation (best-of is reported).
 ROUNDS = 3

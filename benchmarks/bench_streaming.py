@@ -4,7 +4,7 @@ The online scheduler used to be a *batch replay*: the only way to follow
 a growing arrival stream (a live submission queue, a resumed sweep, a
 monitoring loop asking "where are we now?" after every batch) was to
 re-replay the whole prefix through
-:class:`repro.scheduler._reference.ReferenceOnlineScheduler` -- whose
+:class:`tests.oracles.scheduler.ReferenceOnlineScheduler` -- whose
 per-admission completion lookup additionally re-scans every entry placed
 so far, making each replay quadratic in the number of submissions.
 
@@ -44,9 +44,9 @@ except ModuleNotFoundError:  # standalone: python benchmarks/bench_streaming.py
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
     from benchmarks.conftest import full_scale, write_result
 from repro.platform import grid5000
-from repro.scheduler._reference import ReferenceOnlineScheduler
 from repro.streaming.engine import StreamSession
 from repro.streaming.spec import ArrivalSpec, generate_arrivals
+from tests.oracles.scheduler import ReferenceOnlineScheduler
 
 #: The acceptance workload: >= 1000 Poisson submissions on the composed
 #: multi-site platform (the reduced scale keeps CI wall time in check

@@ -1,11 +1,13 @@
-"""Fused fast path of the CPA-family iterative allocation loop.
+"""The CPA-family iterative allocation loop, fused into one flat pass.
 
-:func:`repro.allocation.iterative.run_iterative_allocation` re-derives
-the bottom levels of the whole graph **twice** per accepted increment --
-once for the balance test and critical path, and (for SCRAP) once more
-inside the constraint's ``average_power`` re-evaluation -- although a
-single increment only shortens one task.  :func:`run_fused_loop` fuses
-the iteration into one flat pass that exploits exactly that locality:
+The straightforward formulation re-derives the bottom levels of the
+whole graph **twice** per accepted increment -- once for the balance
+test and critical path, and (for SCRAP) once more inside the
+constraint's ``average_power`` re-evaluation -- although a single
+increment only shortens one task.  :func:`run_fused_loop`, the loop
+body of :func:`repro.allocation.iterative.run_iterative_allocation`,
+fuses the iteration into one flat pass that exploits exactly that
+locality:
 
 * **incremental bottom levels** -- after an increment only the task and
   its ancestors can change, so the DP is re-run over the dirty cone
@@ -19,7 +21,10 @@ the iteration into one flat pass that exploits exactly that locality:
 * **hoisted constraint checks** -- the built-in area / level tests are
   dispatched once before the loop and evaluated inline over the
   incrementally maintained bottom levels and areas, instead of a fresh
-  full DP (plus closure dispatch) per tentative increment;
+  full DP (plus closure dispatch) per tentative increment; any other
+  :class:`~repro.allocation.iterative.ConstraintCheck` has its
+  ``violated`` called on a materialised
+  :class:`~repro.allocation.base.Allocation`;
 * **flat hot path** -- candidate filtering, the ``(gain, -task_id)``
   selection and the per-increment table refresh run inline on
   lazily-materialised Python rows of the precomputed tables, with no
@@ -27,9 +32,8 @@ the iteration into one flat pass that exploits exactly that locality:
 
 Exactness
 ---------
-Every float the loop produces is bit-identical to the reference
-formulation in :mod:`repro.allocation._reference` and to the non-fused
-loop in :mod:`repro.allocation.iterative`:
+Every float the loop produces is bit-identical to the dict-based
+oracle frozen in ``tests/oracles/allocation.py``:
 
 * recomputing a node's bottom level from unchanged inputs yields the
   identical IEEE-754 value, so propagating only nodes whose recomputed
@@ -37,21 +41,18 @@ loop in :mod:`repro.allocation.iterative`:
   position, reproduces the full DP exactly;
 * the balance and constraint comparisons use the same fold-left sums
   (Python ``sum`` over the state's incrementally maintained areas and
-  the level-member generator of ``AllocationState.level_power``) and
+  over the members of the incremented task's precedence level) and
   the same ``beta * P + 1e-12`` limits, in the same operation order;
 * the candidate scan keeps the first maximal ``(gain, -task_id)`` key
-  exactly like the reference's ``max(candidates, key=...)``: a
+  exactly like the oracle's ``max(candidates, key=...)``: a
   candidate only replaces the incumbent on a strictly greater key;
-* the inline increment / revert performs the same row lookups as
-  :meth:`~repro.allocation.state.AllocationState.set_processors`
-  (bounds always hold: growth is filtered by ``procs < cap``).
+* the inline increment / revert reads the same precomputed table rows
+  the oracle's per-task Amdahl calls evaluate (bounds always hold:
+  growth is filtered by ``procs < cap``).
 
 ``tests/test_allocation_golden.py`` and ``tests/test_delta_golden.py``
 assert the resulting allocations and :class:`IterationStats` match the
-reference across procedures, workload families and betas.  Custom
-:class:`~repro.allocation.iterative.ConstraintCheck` subclasses never
-reach this module: the dispatcher falls back to the mirrored dict-based
-loop for them.
+oracle across procedures, custom checks, workload families and betas.
 """
 
 from __future__ import annotations
@@ -119,15 +120,18 @@ def run_fused_loop(
     efficiency_threshold: float,
     effective_ref_size: float,
 ) -> None:
-    """Run the fused allocation iteration, mutating *state* and *stats*.
+    """Run the allocation iteration, mutating *state* and *stats*.
 
-    Drop-in replacement for the loop body of
-    :func:`repro.allocation.iterative.run_iterative_allocation` when the
-    constraint is one of the built-in checks; produces bit-identical
-    allocations and iteration diagnostics (see the module docstring for
-    the argument).
+    The loop body of
+    :func:`repro.allocation.iterative.run_iterative_allocation`; produces
+    allocations and iteration diagnostics bit-identical to the oracle
+    (see the module docstring for the argument).
     """
-    from repro.allocation.iterative import AreaConstraint, LevelConstraint
+    from repro.allocation.iterative import (
+        AreaConstraint,
+        LevelConstraint,
+        NoConstraint,
+    )
 
     arrays = state.arrays
     task_ids = arrays.task_ids_tuple
@@ -145,19 +149,21 @@ def run_fused_loop(
     areas = state.areas  # inline increment / revert below
     procs = state.procs
     cap = state.cap
-    durations_np = state._durations_np
     frozen: set = set()
     efficiency_guard = efficiency_threshold - 1e-12
     use_efficiency_guard = efficiency_threshold > 0.0
     bl = state.bottom_levels()
 
     # constraint dispatch hoisted out of the loop: 0 = none, 1 = area
-    # (SCRAP average power), 2 = level (SCRAP-MAX per-level power)
+    # (SCRAP average power), 2 = level (SCRAP-MAX per-level power),
+    # 3 = any other check, called on a materialised Allocation
     speed_gflops = state.reference.speed_gflops
-    check_kind = 0
+    check_kind = 3
     area_limit = level_limit = 0.0
     members_of: List[Tuple[int, ...]] = []
-    if type(constraint) is AreaConstraint:
+    if type(constraint) is NoConstraint:
+        check_kind = 0
+    elif type(constraint) is AreaConstraint:
         check_kind = 1
         area_limit = constraint.beta * constraint.platform_power_gflops + 1e-12
     elif type(constraint) is LevelConstraint:
@@ -223,7 +229,7 @@ def run_fused_loop(
             stats.stopped_by_saturation = True
             break
 
-        # inline state.increment(best); bounds always hold (p < cap)
+        # tentative increment; bounds always hold (p < cap)
         p1 = procs[best] + 1
         procs[best] = p1
         drow = dur_rows[best]
@@ -232,11 +238,8 @@ def run_fused_loop(
         arow = area_rows[best]
         if arow is None:
             arow = area_rows[best] = state.area_row(best)
-        d = drow[p1 - 1]
-        durations[best] = d
+        durations[best] = drow[p1 - 1]
         areas[best] = arow[p1 - 1]
-        if durations_np is not None:
-            durations_np[best] = d
 
         undo = _propagate(
             best, bl, durations, succ_of, pred_of, topo_order, topo_pos, dirty
@@ -251,21 +254,22 @@ def run_fused_loop(
                 > level_limit
             )
         elif check_kind == 1:
-            # operation order of AllocationState.average_power, with the
+            # operation order of Allocation.average_power, with the
             # critical path length read off the maintained bottom levels
             cp = max(bl)
             violated = cp > 0.0 and sum(areas) * speed_gflops / cp > area_limit
+        elif check_kind == 3:
+            violated = constraint.violated(
+                state.as_allocation(), state.ptg.task(task_ids[best])
+            )
         else:
             violated = False
 
         if violated:
-            # inline state.decrement(best) + bottom-level rollback
+            # revert the increment and roll the bottom levels back
             procs[best] = p1 - 1
-            d = drow[p1 - 2]
-            durations[best] = d
+            durations[best] = drow[p1 - 2]
             areas[best] = arow[p1 - 2]
-            if durations_np is not None:
-                durations_np[best] = d
             for index, old in undo:
                 bl[index] = old
             if stop_on_violation:

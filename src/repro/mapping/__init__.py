@@ -23,10 +23,10 @@ This package provides:
   the paper shows can unfairly postpone small applications (Figure 1).
 
 The placement hot path (timelines, EFT sweep, ready queue, communication
-estimates) is optimized -- incrementally sorted free-time arrays, batched
-candidate evaluation, heap-based ready list, memoized transfers -- while
-emitting bit-identical schedules to the straightforward formulation kept
-in :mod:`repro.mapping._reference` (see ``tests/test_mapping_golden.py``
+estimates) is optimized -- incrementally sorted free-time arrays,
+delta-EFT cluster selection, heap-based ready list, memoized transfers --
+while emitting bit-identical schedules to the straightforward formulation
+frozen in ``tests/oracles/mapping.py`` (see ``tests/test_mapping_golden.py``
 and ``docs/architecture.md``).
 """
 

@@ -16,40 +16,30 @@ platform:
 
 Performance
 -----------
-The engine is the innermost loop of every mapper, so steps 3-5 are
-batched per cluster: the candidate ``(ready time, k-th free time,
-finish time)`` triples of **every allocation size** are computed in one
-pass against the timeline's incrementally sorted free-time array
-(:meth:`~repro.mapping.timeline.ClusterTimeline.kth_free_times`) and a
-vectorized Amdahl duration table, and the packing search walks the
-allocation sizes ``p-1 .. 1`` over those precomputed candidates instead
-of re-querying the timeline per size.
-
-On top of that sits the **delta-EFT** fast path (``delta=True``, the
-default): instead of fully evaluating every cluster, it derives an exact
-per-cluster *lower bound* on the achievable finish time from the cached
-free-time frontier (``max(ready lower bound, first free time) +
-duration at the translated allocation``), evaluates clusters in
+The engine is the innermost loop of every mapper, so it runs the
+**delta-EFT** selection: instead of fully evaluating every cluster, it
+derives an exact per-cluster *lower bound* on the achievable finish time
+from the cached free-time frontier (``max(ready lower bound, first free
+time) + duration at the translated allocation``), evaluates clusters in
 ascending bound order and stops as soon as the next bound exceeds the
 best finish found -- dominated clusters are skipped without computing
 their candidates.  The per-cluster evaluation itself runs on the plain
 Python frontier mirror (:meth:`~repro.mapping.timeline.ClusterTimeline.
 kth_free_list`, invalidated incrementally on reserve) with memoized
-allocation translations, and the packing sweep short-circuits once the
+allocation translations, and the packing sweep walks the allocation
+sizes ``p-1 .. 1`` over that frontier, short-circuiting once the
 remaining (monotonically non-decreasing) candidate finishes can no
 longer be accepted.  Every cutoff is justified by an exact inequality
-on the same IEEE-754 quantities the full pass computes, so both paths
--- and the scalar formulation they accelerate -- produce bit-identical
-schedules (asserted by ``tests/test_mapping_golden.py`` and
-``tests/test_delta_golden.py``).
+on the same IEEE-754 quantities a full declaration-order scan computes,
+so the schedules are bit-identical to the scalar formulation frozen in
+``tests/oracles/mapping.py`` (asserted by ``tests/test_mapping_golden.py``
+and ``tests/test_delta_golden.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
-
-import numpy as np
 
 from repro.allocation.base import Allocation
 from repro.dag.task import Task
@@ -91,22 +81,15 @@ class PlacementEngine:
         platform: MultiClusterPlatform,
         enable_packing: bool = True,
         comm: Optional[CommunicationEstimator] = None,
-        delta: bool = True,
     ) -> None:
         self.platform = platform
         self.enable_packing = enable_packing
         self.comm = comm or CommunicationEstimator(platform)
         self.timelines = PlatformTimeline(platform)
         self.packed_tasks = 0
-        #: When True, ``place`` uses the delta-EFT fast path (bound-ordered
-        #: cluster evaluation with early cutoffs); when False, the full
-        #: PR-2 evaluation of every cluster -- the golden fallback.
-        self.delta = delta
-        # Cluster objects in declaration order, cached once: ``place`` is
-        # called for every task of every application.
-        self._clusters = list(platform)
-        # Per-cluster evaluation context of the delta path, in declaration
-        # order: (cluster, timeline, speed_flops, translation memo).  The
+        # Per-cluster evaluation context, in declaration order, cached
+        # once (``place`` is called for every task of every application):
+        # (cluster, timeline, speed_flops, translation memo).  The
         # memo caches ``ReferenceCluster.translate`` results keyed by
         # (reference speed, reference processors) -- translation is pure
         # integer arithmetic repeated for every task of every admission.
@@ -117,156 +100,13 @@ class PlacementEngine:
                 cluster.speed_flops,
                 {},
             )
-            for cluster in self._clusters
+            for cluster in platform
         ]
-
-    # ------------------------------------------------------------------ #
-    # ready-time computation
-    # ------------------------------------------------------------------ #
-    def data_ready_time(
-        self,
-        ptg_name: str,
-        task_id: int,
-        predecessors: List[Tuple[int, float]],
-        schedule: Schedule,
-        dst_cluster: str,
-        not_before: float = 0.0,
-    ) -> float:
-        """Earliest time the inputs of a task are available on *dst_cluster*.
-
-        *predecessors* is a list of ``(pred_task_id, edge_data_bytes)``.
-        Each predecessor must already be in *schedule*.  Redistribution
-        times come from the memoized :class:`CommunicationEstimator`.
-        """
-        ready = not_before
-        for pred_id, data_bytes in predecessors:
-            pred_entry = schedule.entry(ptg_name, pred_id)
-            transfer = self.comm.transfer_time(
-                data_bytes, pred_entry.cluster_name, dst_cluster
-            )
-            ready = max(ready, pred_entry.finish + transfer)
-        return ready
-
-    # ------------------------------------------------------------------ #
-    # candidate evaluation
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def _candidate_durations(task: Task, speed_flops: float, max_procs: int) -> np.ndarray:
-        """Execution times of *task* on ``1..max_procs`` processors.
-
-        Vectorized Amdahl model ``T(p) = (alpha + (1-alpha)/p) * w / s``
-        with the exact operation order of
-        :meth:`repro.dag.cost_models.AmdahlTaskModel.time`, so each entry
-        is bit-identical to the scalar computation.
-        """
-        if task.is_synthetic:
-            return np.zeros(max_procs, dtype=float)
-        procs = np.arange(1, max_procs + 1, dtype=float)
-        return (task.alpha + (1.0 - task.alpha) / procs) * task.flops / speed_flops
-
-    def _packing_sweep(
-        self,
-        requested: int,
-        ready_time: float,
-        start: float,
-        finish: float,
-        kth_free: np.ndarray,
-        durations: np.ndarray,
-    ) -> Tuple[int, float, float, bool, int]:
-        """Best ``(procs, start, finish, packed, original)`` for one cluster.
-
-        Walks the allocation sizes ``requested-1 .. 1`` against the
-        precomputed k-th free times and durations, applying the paper's
-        packing rule: accept a smaller allocation only if the task starts
-        earlier and finishes no later than on its original allocation.
-        """
-        best = (requested, start, finish, False, requested)
-        if not self.enable_packing or requested == 1:
-            return best
-        if start <= ready_time + 1e-12:
-            # the task is not delayed by processor availability: keep it.
-            return best
-        frees = kth_free[: requested - 1].tolist()
-        durs = durations[: requested - 1].tolist()
-        for procs in range(requested - 1, 0, -1):
-            kth = frees[procs - 1]
-            alt_start = ready_time if ready_time >= kth else kth
-            alt_finish = alt_start + durs[procs - 1]
-            if alt_start < start - 1e-12 and alt_finish <= finish + 1e-12:
-                # paper rule: accept a smaller allocation only if it starts
-                # earlier and finishes no later.
-                if alt_finish < best[2] - 1e-12 or (
-                    abs(alt_finish - best[2]) <= 1e-12 and alt_start < best[1]
-                ):
-                    best = (procs, alt_start, alt_finish, True, requested)
-        return best
-
-    def _evaluate_cluster(
-        self,
-        task: Task,
-        allocation: Allocation,
-        cluster_name: str,
-        ready_time: float,
-    ) -> Tuple[int, float, float, bool, int]:
-        """Best ``(procs, start, finish, packed, original_procs)`` on one cluster."""
-        if ready_time < 0:
-            raise MappingError(f"ready_time must be non-negative, got {ready_time}")
-        cluster = self.platform.cluster(cluster_name)
-        timeline = self.timelines.timeline(cluster_name)
-        requested = allocation.cluster_processors(task, cluster)
-        requested = min(requested, cluster.num_processors)
-        kth_free = timeline.kth_free_times()
-        durations = self._candidate_durations(task, cluster.speed_flops, requested)
-        kth = float(kth_free[requested - 1])
-        start = ready_time if ready_time >= kth else kth
-        finish = start + float(durations[requested - 1])
-        return self._packing_sweep(
-            requested, ready_time, start, finish, kth_free, durations
-        )
 
     # ------------------------------------------------------------------ #
     # cluster selection
     # ------------------------------------------------------------------ #
-    def _select_full(
-        self,
-        ptg_name: str,
-        task: Task,
-        allocation: Allocation,
-        predecessors: List[Tuple[int, float]],
-        schedule: Schedule,
-        not_before: float,
-    ) -> PlacementDecision:
-        """Evaluate every cluster (the ``delta=False`` golden fallback).
-
-        The earliest ``(finish, start)`` wins with ties broken by the
-        platform's cluster declaration order.
-        """
-        best_decision: Optional[PlacementDecision] = None
-        for cluster in self._clusters:
-            ready = self.data_ready_time(
-                ptg_name, task.task_id, predecessors, schedule, cluster.name, not_before
-            )
-            procs, start, finish, packed, original = self._evaluate_cluster(
-                task, allocation, cluster.name, ready
-            )
-            decision = PlacementDecision(
-                cluster_name=cluster.name,
-                processors=procs,
-                start=start,
-                finish=finish,
-                packed=packed,
-                original_processors=original,
-            )
-            if best_decision is None or (decision.finish, decision.start) < (
-                best_decision.finish,
-                best_decision.start,
-            ):
-                best_decision = decision
-        if best_decision is None:  # pragma: no cover - platform is never empty
-            raise MappingError("platform has no cluster to place the task on")
-        return best_decision
-
-    def _select_delta(
+    def _select(
         self,
         ptg_name: str,
         task: Task,
@@ -277,7 +117,8 @@ class PlacementEngine:
     ) -> PlacementDecision:
         """Delta-EFT cluster selection: bound-ordered with early cutoff.
 
-        Bit-identical to :meth:`_select_full`.  For every cluster,
+        Bit-identical to a full declaration-order scan of every cluster
+        (the oracle in ``tests/oracles/mapping.py``).  For every cluster,
         ``max(ready lower bound, first free time) + T(translated procs)``
         is an exact lower bound on any achievable finish there -- packed
         candidates included, since shrinking the allocation only raises
@@ -287,11 +128,11 @@ class PlacementEngine:
         without computing their data-ready times or candidates.  The
         winner is picked by the (unique) lexicographic minimum of
         ``(finish, start, declaration index)``, which equals the full
-        pass's first-wins declaration-order scan.
+        scan's first-wins declaration order.
         """
         if not_before < 0:
             raise MappingError(f"ready_time must be non-negative, got {not_before}")
-        # Resolve predecessor placements once (the full pass re-reads the
+        # Resolve predecessor placements once (a full scan re-reads the
         # schedule per cluster); their maximal finish joins ``not_before``
         # as a transfer-free lower bound on every cluster's ready time.
         preds: List[Tuple[float, str, float]] = []
@@ -324,8 +165,8 @@ class PlacementEngine:
             else:
                 requested = memo.get(memo_key)
                 if requested is None:
-                    # translate() clips to [1, cluster size], matching the
-                    # full pass's cluster_processors + min()
+                    # translate() clips to [1, cluster size], matching
+                    # Allocation.cluster_processors + min()
                     requested = memo[memo_key] = allocation.reference.translate(
                         ref_procs, cluster
                     )
@@ -452,14 +293,9 @@ class PlacementEngine:
             Lower bound on the start time (the instant the task became
             ready in the event-driven mapper).
         """
-        if self.delta:
-            best_decision = self._select_delta(
-                ptg_name, task, allocation, predecessors, schedule, not_before
-            )
-        else:
-            best_decision = self._select_full(
-                ptg_name, task, allocation, predecessors, schedule, not_before
-            )
+        best_decision = self._select(
+            ptg_name, task, allocation, predecessors, schedule, not_before
+        )
 
         timeline = self.timelines.timeline(best_decision.cluster_name)
         cluster = self.platform.cluster(best_decision.cluster_name)

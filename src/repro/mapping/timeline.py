@@ -18,8 +18,8 @@ sorted array and re-inserts ``p`` copies of the finish time at the
 position found by :func:`numpy.searchsorted`, so the array never needs a
 full sort or an :func:`numpy.partition` again.  ``earliest_start`` then
 becomes an O(1) lookup of the ``p``-th entry, and the EFT packing sweep in
-:mod:`repro.mapping.eft` reads the whole candidate range ``k = 1..p`` in
-one shot through :meth:`ClusterTimeline.kth_free_times`.
+:mod:`repro.mapping.eft` reads the whole candidate range ``k = 1..p``
+from its plain-list mirror, :meth:`ClusterTimeline.kth_free_list`.
 """
 
 from __future__ import annotations
@@ -83,10 +83,10 @@ class ClusterTimeline:
         """The sorted processor free times (ascending).
 
         Entry ``k-1`` is the earliest time at which ``k`` processors are
-        simultaneously free under the non-insertion policy, so the EFT
-        engine can evaluate every candidate processor count of the
-        allocation packing rule against this single array instead of
-        issuing one :meth:`earliest_start` query per count.
+        simultaneously free under the non-insertion policy, so every
+        candidate processor count of the allocation packing rule can be
+        evaluated against this single array instead of issuing one
+        :meth:`earliest_start` query per count.
 
         The returned array is the timeline's internal state: callers must
         not mutate it (take a ``.copy()`` to keep it across reservations).

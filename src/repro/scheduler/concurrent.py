@@ -76,25 +76,33 @@ class ConcurrentScheduler:
         # the disabled path adds two None checks per schedule() call
         registry = meters.active()
 
-        with trace.span(
-            "scheduler.betas", strategy=self.strategy.name, apps=str(len(ptgs))
-        ):
-            betas: Dict[str, float] = self.strategy.compute_betas(ptgs, platform)
-        missing = [name for name in names if name not in betas]
-        if missing:
-            raise ConfigurationError(
-                f"strategy {self.strategy.name!r} did not assign a constraint to {missing}"
-            )
+        try:
+            with trace.span(
+                "scheduler.betas", strategy=self.strategy.name, apps=str(len(ptgs))
+            ):
+                betas: Dict[str, float] = self.strategy.compute_betas(ptgs, platform)
+            missing = [name for name in names if name not in betas]
+            if missing:
+                raise ConfigurationError(
+                    f"strategy {self.strategy.name!r} did not assign a constraint "
+                    f"to {missing}"
+                )
 
-        started = time.perf_counter() if registry is not None else 0.0
-        allocations: Dict[str, Allocation] = {}
-        allocated = []
-        with trace.span("scheduler.allocate", apps=str(len(ptgs))):
+            started = time.perf_counter() if registry is not None else 0.0
+            allocations: Dict[str, Allocation] = {}
+            allocated = []
+            with trace.span("scheduler.allocate", apps=str(len(ptgs))):
+                for ptg in ptgs:
+                    allocation = self.allocator.allocate(
+                        ptg, platform, beta=betas[ptg.name]
+                    )
+                    allocations[ptg.name] = allocation
+                    allocated.append(AllocatedPTG(ptg, allocation))
+        finally:
+            # the prebuilt Amdahl tables served their one allocation; drop
+            # them even when the strategy or the allocator raised, so no
+            # graph of a failed batch keeps them pinned
             for ptg in ptgs:
-                allocation = self.allocator.allocate(ptg, platform, beta=betas[ptg.name])
-                allocations[ptg.name] = allocation
-                allocated.append(AllocatedPTG(ptg, allocation))
-                # the prebuilt Amdahl tables served their one allocation
                 discard_allocation_tables(ptg)
         if registry is not None:
             now = time.perf_counter()

@@ -18,11 +18,12 @@ list through the event-driven
 
 The session keeps the per-application completion bookkeeping incremental
 (see :mod:`repro.streaming.engine`), so long streams no longer pay the
-quadratic schedule re-scans of the original replay -- which is preserved
-verbatim in :mod:`repro.scheduler._reference` and pinned bit-identical by
-``tests/test_scheduler_online_golden.py``.  For live / chunked streams
-and windowed metrics, use :class:`~repro.streaming.engine.StreamSession`
-and :mod:`repro.streaming` directly.
+quadratic schedule re-scans of the original replay -- which is frozen
+verbatim as the oracle in ``tests/oracles/scheduler.py`` and pinned
+bit-identical by ``tests/test_scheduler_online_golden.py``.  For live /
+chunked streams and windowed metrics, use
+:class:`~repro.streaming.engine.StreamSession` and :mod:`repro.streaming`
+directly.
 
 :class:`Arrival` and :class:`OnlineScheduleResult` are defined in
 :mod:`repro.streaming.engine` and re-exported here, their historical

@@ -20,8 +20,8 @@ core of :mod:`repro.mapping`:
   packing, its tasks ordered by bottom level and released no earlier
   than the submission time.
 
-Unlike the batch replay it replaces (preserved verbatim in
-:mod:`repro.scheduler._reference`), the session is **incremental**:
+Unlike the batch replay it replaces (frozen verbatim as the oracle in
+``tests/oracles/scheduler.py``), the session is **incremental**:
 
 * per-application completion times are tracked while the tasks are
   placed, so admitting application ``n`` costs ``O(tasks(n))`` instead
@@ -32,8 +32,7 @@ Unlike the batch replay it replaces (preserved verbatim in
   from the in-memory state instead of being re-replayed from scratch.
 
 ``tests/test_scheduler_online_golden.py`` asserts that a session fed a
-fixed arrival list is bit-identical to the preserved replay, chunking
-included.
+fixed arrival list is bit-identical to that replay, chunking included.
 """
 
 from __future__ import annotations
@@ -237,14 +236,6 @@ class StreamSession:
         paper's choice).
     enable_packing:
         Whether the mapper may shrink delayed allocations (paper: on).
-    delta:
-        Whether the placement engine uses the delta-EFT fast path
-        (default) or the full per-cluster evaluation; both are
-        bit-identical, the flag exists as the golden fallback.
-    batch_compile:
-        Whether :meth:`feed` batch-compiles the arrival chunk's graph
-        arrays and allocation tables through the stacked multi-PTG
-        kernels before admitting (bit-identical; golden fallback).
     """
 
     def __init__(
@@ -253,18 +244,12 @@ class StreamSession:
         strategy: Optional[ConstraintStrategy] = None,
         allocator: Optional[AllocationProcedure] = None,
         enable_packing: bool = True,
-        delta: bool = True,
-        batch_compile: bool = True,
     ) -> None:
         self.platform = platform
         self.strategy = strategy or EqualShareStrategy()
         self.allocator = allocator or ScrapMaxAllocator()
         self.enable_packing = enable_packing
-        self.delta = delta
-        self.batch_compile = batch_compile
-        self.engine = PlacementEngine(
-            platform, enable_packing=enable_packing, delta=delta
-        )
+        self.engine = PlacementEngine(platform, enable_packing=enable_packing)
         self.schedule = Schedule(platform.name)
         # reference view + allocation cap of this platform, precomputed
         # once for the batched allocation-table preparation of ``feed``
@@ -330,16 +315,23 @@ class StreamSession:
     def feed(self, arrivals: Iterable[Arrival]) -> None:
         """Admit a batch of arrivals, in ``(time, name)`` order.
 
-        The batch is sorted internally; it may be empty.  Feeding an
-        arrival earlier than one already admitted raises a
+        The batch is sorted internally; it may be empty.  A batch of
+        several arrivals is batch-compiled first (:meth:`_prepare_batch`).
+        Feeding an arrival earlier than one already admitted raises a
         :class:`~repro.exceptions.ConfigurationError` -- an online
         scheduler cannot revisit the past.
         """
         batch = sorted(arrivals, key=lambda a: (a.time, a.ptg.name))
-        if self.batch_compile and len(batch) > 1:
+        if len(batch) > 1:
             self._prepare_batch([arrival.ptg for arrival in batch])
-        for arrival in batch:
-            self.admit(arrival)
+        try:
+            for arrival in batch:
+                self.admit(arrival)
+        finally:
+            # a raising admission stops the batch: drop the prebuilt
+            # tables of the graphs it never reached as well
+            for arrival in batch:
+                discard_allocation_tables(arrival.ptg)
 
     def _prepare_batch(self, ptgs: List[PTG]) -> None:
         """Batch-compile the graphs of one feed chunk (pure warm-up).

@@ -1,0 +1,18 @@
+"""Frozen golden oracles, one per optimized layer.
+
+Each module keeps the straightforward formulation a hot path of
+``repro`` replaced, so the golden suites and the old-vs-new ratio
+benchmarks can assert that the single production path stays
+bit-identical to it:
+
+* :mod:`tests.oracles.allocation` -- the dict-based CPA-family loop
+  (allocation),
+* :mod:`tests.oracles.mapping` -- the per-probe EFT placement, the
+  sort-per-event ready list and the uncached timelines / transfers
+  (mapping),
+* :mod:`tests.oracles.scheduler` -- the quadratic batch replay of the
+  online scheduler (streaming).
+
+Do not "fix" or optimise these modules: their value is to stay exactly
+what the production code must reproduce.
+"""

@@ -1,4 +1,4 @@
-"""Pre-refactor reference implementation of the allocation hot loop.
+"""Golden oracle of the allocation hot loop.
 
 The array-compiled allocation core
 (:class:`repro.allocation.state.AllocationState` driving
@@ -13,11 +13,10 @@ the full :meth:`~repro.allocation.base.Allocation.average_power` /
 :meth:`~repro.allocation.base.Allocation.level_power` recomputation after
 every tentative increment.
 
-It exists only for the golden equivalence suite
-(``tests/test_allocation_golden.py``) and the old-vs-new benchmarks
+It serves the golden suites (``tests/test_allocation_golden.py``,
+``tests/test_delta_golden.py``) and the old-vs-new benchmarks
 (``benchmarks/bench_allocation_core.py``,
-``benchmarks/bench_pipeline_core.py``); production code must call
-:func:`repro.allocation.iterative.run_iterative_allocation`.
+``benchmarks/bench_pipeline_core.py``, ``benchmarks/bench_delta_eft.py``).
 """
 
 from __future__ import annotations
@@ -29,8 +28,10 @@ from repro.allocation.iterative import (
     DEFAULT_EFFICIENCY_THRESHOLD,
     ConstraintCheck,
     IterationStats,
+    LevelConstraint,
 )
 from repro.allocation.reference import ReferenceCluster
+from repro.allocation.scrap import ScrapMaxAllocator
 from repro.dag.graph import PTG
 from repro.exceptions import AllocationError
 from repro.platform.multicluster import MultiClusterPlatform
@@ -121,3 +122,28 @@ def run_reference_allocation(
         stats.increments += 1
 
     return allocation, stats
+
+
+class ReferenceScrapMaxAllocator(ScrapMaxAllocator):
+    """SCRAP-MAX routed through :func:`run_reference_allocation`.
+
+    A drop-in allocator for whole-stack golden runs (streaming sessions,
+    the full-pass benchmark); records :attr:`last_stats` like the
+    production allocator.
+    """
+
+    def allocate(self, ptg, platform, beta=1.0):
+        """Allocate *ptg* under the per-level constraint with the oracle loop."""
+        reference = ReferenceCluster.of(platform)
+        constraint = LevelConstraint(beta, platform.total_power_gflops)
+        allocation, stats = run_reference_allocation(
+            ptg,
+            platform,
+            reference,
+            beta,
+            constraint,
+            use_balance_stop=self.use_balance_stop,
+            efficiency_threshold=self.efficiency_threshold,
+        )
+        self.last_stats = stats
+        return allocation

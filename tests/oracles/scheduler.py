@@ -1,4 +1,4 @@
-"""Pre-refactor online scheduler, preserved verbatim as the golden baseline.
+"""Golden oracle of the online scheduler: the pre-``repro.streaming`` replay.
 
 :class:`ReferenceOnlineScheduler` is the :class:`OnlineConcurrentScheduler`
 as it stood before the ``repro.streaming`` rework: a batch replay of a
@@ -8,6 +8,11 @@ completion time with a full scan of the schedule built so far
 application), which makes long streams quadratic in the number of
 submissions.
 
+It places tasks with the production
+:class:`~repro.mapping.eft.PlacementEngine`: placement has its own
+oracle (:mod:`tests.oracles.mapping`, whose
+:func:`~tests.oracles.mapping.reference_implementation` swaps it in
+here too), so this module pins only the replay and its bookkeeping.
 It is kept for two purposes:
 
 * ``tests/test_scheduler_online_golden.py`` asserts that the event-driven
@@ -110,11 +115,7 @@ class ReferenceOnlineScheduler:
     ) -> OnlineScheduleResult:
         """Schedule all submissions in arrival order."""
         ordered = self._check_arrivals(arrivals)
-        # the preserved replay stays on the full per-cluster evaluation:
-        # it is the baseline the delta-EFT session is compared against
-        engine = PlacementEngine(
-            platform, enable_packing=self.enable_packing, delta=False
-        )
+        engine = PlacementEngine(platform, enable_packing=self.enable_packing)
         schedule = Schedule(platform.name)
 
         betas: Dict[str, float] = {}

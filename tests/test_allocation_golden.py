@@ -6,7 +6,7 @@ pure performance refactor: for every procedure of the CPA family -- CPA,
 HCPA (with and without the over-allocation guard), SCRAP and SCRAP-MAX --
 it must produce exactly the same :class:`~repro.allocation.base.Allocation`
 contents **and** :class:`~repro.allocation.iterative.IterationStats` as
-the pre-refactor loop kept in :mod:`repro.allocation._reference`.
+the pre-refactor loop frozen in :mod:`tests.oracles.allocation`.
 
 Every comparison below is **exact** (``==`` on the processor dicts and on
 the stats dataclass, no tolerance): the optimized arithmetic reproduces
@@ -18,7 +18,6 @@ seeded batch of ~50 random PTGs (the fig2/fig3 family) plus the FFT
 
 import pytest
 
-from repro.allocation._reference import run_reference_allocation
 from repro.allocation.cpa import CPAAllocator
 from repro.allocation.hcpa import HCPAAllocator
 from repro.allocation.iterative import (
@@ -30,12 +29,13 @@ from repro.allocation.iterative import (
 )
 from repro.allocation.reference import ReferenceCluster
 from repro.allocation.scrap import ScrapAllocator, ScrapMaxAllocator
-from repro.allocation.state import AllocationState
 from repro.dag.arrays import SMALL_GRAPH_CUTOFF
 from repro.dag.generator import RandomPTGConfig, generate_random_ptg
 from repro.experiments.workload import WorkloadSpec, make_workload
 from repro.platform import grid5000
 from repro.platform.builder import single_cluster_platform
+
+from tests.oracles.allocation import run_reference_allocation
 
 BETAS = (0.25, 0.6, 1.0)
 
@@ -94,18 +94,12 @@ class TestGoldenRandomBatch:
 
     def test_large_graph_vectorized_dp_bit_identical(self):
         # a graph past SMALL_GRAPH_CUTOFF exercises the vectorized
-        # level-batched DP branch of AllocationState (including the
-        # incremental NumPy duration sync), which the paper-sized
-        # workloads above never reach
+        # level-batched DP branch of AllocationState.bottom_levels, which
+        # the paper-sized workloads above never reach
         platform = grid5000.lille()
-        reference = ReferenceCluster.of(platform)
         ptg = generate_random_ptg(42, RandomPTGConfig(n_tasks=550))
         ptg.ensure_single_entry_exit()
-        assert ptg.n_tasks >= SMALL_GRAPH_CUTOFF
-        state = AllocationState(
-            ptg, reference, cap=reference.max_allocation(platform)
-        )
-        assert state._vector_dp, "large graph must take the vectorized DP path"
+        assert ptg.n_tasks >= SMALL_GRAPH_CUTOFF, "must take the vectorized DP path"
         for constraint in (
             lambda beta, power: NoConstraint(),
             AreaConstraint,
@@ -173,24 +167,29 @@ class TestGoldenAllocators:
 
 
 class TestGoldenCustomConstraint:
-    """Custom ConstraintCheck subclasses take the mirrored-dict path."""
+    """Custom ConstraintCheck subclasses run through the fused loop too."""
 
     class _CapAtFour(ConstraintCheck):
-        stop_on_violation = False
+        def __init__(self, stop_on_violation):
+            self.stop_on_violation = stop_on_violation
 
         def violated(self, allocation, task):
-            """Freeze any task that tries to grow past four processors."""
+            """Reject any task that tries to grow past four processors."""
             return allocation.processors(task.task_id) > 4
 
-    def test_custom_constraint_bit_identical(self, platform):
+    @pytest.mark.parametrize(
+        "stop_on_violation", [True, False], ids=["stop", "freeze"]
+    )
+    def test_custom_constraint_bit_identical(self, platform, stop_on_violation):
         ptg = make_workload(WorkloadSpec(family="random", n_ptgs=1, seed=11))[0]
         reference = ReferenceCluster.of(platform)
         fast_alloc, fast_stats = run_iterative_allocation(
-            ptg, platform, reference, 1.0, self._CapAtFour()
+            ptg, platform, reference, 1.0, self._CapAtFour(stop_on_violation)
         )
         ref_alloc, ref_stats = run_reference_allocation(
-            ptg, platform, reference, 1.0, self._CapAtFour()
+            ptg, platform, reference, 1.0, self._CapAtFour(stop_on_violation)
         )
         assert fast_alloc.as_dict() == ref_alloc.as_dict()
         assert fast_stats == ref_stats
         assert max(fast_alloc.as_dict().values()) <= 4
+        assert fast_stats.stopped_by_constraint == stop_on_violation

@@ -1,27 +1,28 @@
-"""Golden tests for the sub-millisecond admission fast paths.
+"""Golden tests for the sub-millisecond admission path.
 
-Three optimizations ride the admission hot path and each keeps its
-reference formulation switchable as a golden fallback:
+Three optimizations ride the admission hot path, each pinned
+bit-identical to the oracles frozen in ``tests/oracles/``:
 
-* **delta-EFT** placement (``PlacementEngine(delta=...)``, surfaced as
-  ``StreamSession(delta=...)`` and the mappers' ``delta`` flag): cached
-  per-cluster free-time frontiers with dominance cutoffs must pick the
-  exact placements the full declaration-order scan picks;
-* the **fused allocation loop** (``fast=...`` on the CPA-family
-  allocators): incremental bottom levels and freeze-skip must produce
-  the same allocations and iteration diagnostics as the per-iteration
-  recomputation;
+* **delta-EFT** placement (:class:`repro.mapping.eft.PlacementEngine`,
+  used by both mappers and the streaming session): cached per-cluster
+  free-time frontiers with dominance cutoffs must pick the exact
+  placements the oracle's full declaration-order scan picks;
+* the **fused allocation loop** (:mod:`repro.allocation.fastloop`,
+  behind every CPA-family allocator): incremental bottom levels and
+  freeze-skip must produce the same allocations and iteration
+  diagnostics as the oracle's per-iteration recomputation;
 * the **batched multi-PTG kernels** (``compile_arrays_batch``,
-  ``prepare_allocation_tables``, ``StreamSession(batch_compile=...)``):
-  stacked-arena compilation must hand every consumer the same arrays and
-  tables as the per-graph construction.
+  ``prepare_allocation_tables``, run by ``StreamSession.feed`` on a
+  batch of several arrivals): stacked-arena compilation must hand every
+  consumer the same arrays and tables as the per-graph construction.
 
 Every comparison is **exact** (``==`` on floats, no tolerance), the same
 discipline as ``test_mapping_golden.py`` / ``test_allocation_golden.py``.
 The suite also pins the transactional-admission contract (a failed
 admission leaves the session bit-identical to one that never saw the
-arrival) and the accessor error contract (``ConfigurationError``, never a
-raw ``KeyError`` / ``StopIteration``).
+arrival), the prebuilt-table cleanup of a failed batch, and the
+accessor error contract (``ConfigurationError``, never a raw
+``KeyError`` / ``StopIteration``).
 """
 
 import numpy as np
@@ -30,6 +31,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.allocation.cpa import CPAAllocator
 from repro.allocation.hcpa import HCPAAllocator
+from repro.allocation.iterative import AreaConstraint, LevelConstraint, NoConstraint
 from repro.allocation.scrap import ScrapAllocator, ScrapMaxAllocator
 from repro.allocation.state import (
     AllocationState,
@@ -46,11 +48,14 @@ from repro.mapping.global_order import GlobalOrderMapper
 from repro.mapping.ready_list import ReadyListMapper
 from repro.platform import grid5000
 from repro.platform.builder import heterogeneous_platform, single_cluster_platform
+from repro.scheduler.concurrent import ConcurrentScheduler
 from repro.streaming.engine import Arrival, OnlineScheduleResult, StreamSession
 from repro.streaming.spec import ArrivalSpec, generate_arrivals
 from repro.validate import validate_schedule
 
 from tests.conftest import make_chain_ptg
+from tests.oracles.allocation import ReferenceScrapMaxAllocator, run_reference_allocation
+from tests.oracles.mapping import ReferenceReadyListMapper, reference_implementation
 
 
 def assert_identical_schedules(fast, reference):
@@ -75,21 +80,27 @@ def assert_identical_stream_results(fast, ref):
     assert_identical_schedules(fast.schedule, ref.schedule)
 
 
-def optimized_session(platform, strategy=None, **kwargs):
-    """A session with every fast path on (the production defaults)."""
-    return StreamSession(platform, strategy, **kwargs)
+def admit_one_by_one(session, stream):
+    """Admit *stream* with one ``admit`` call per arrival (no batch compile)."""
+    for arrival in sorted(stream, key=lambda a: (a.time, a.ptg.name)):
+        session.admit(arrival)
+    return session.result()
 
 
-def reference_session(platform, strategy=None, **kwargs):
-    """A session forced onto every golden fallback path."""
-    return StreamSession(
-        platform,
-        strategy,
-        allocator=ScrapMaxAllocator(fast=False),
-        delta=False,
-        batch_compile=False,
-        **kwargs,
-    )
+def production_result(platform, stream, strategy=None, **kwargs):
+    """*stream* fed in one batch through a production session."""
+    session = StreamSession(platform, strategy, **kwargs)
+    session.feed(stream)
+    return session.result()
+
+
+def oracle_result(platform, stream, strategy=None, **kwargs):
+    """*stream* admitted one by one through a session on every oracle."""
+    with reference_implementation():
+        session = StreamSession(
+            platform, strategy, allocator=ReferenceScrapMaxAllocator(), **kwargs
+        )
+        return admit_one_by_one(session, stream)
 
 
 @pytest.fixture(scope="module")
@@ -107,85 +118,96 @@ def workload():
 
 
 class TestDeltaEFTGolden:
-    """Delta-EFT admissions equal the full per-cluster evaluation."""
+    """Delta-EFT admissions equal the oracle's full per-cluster scan."""
 
     @pytest.mark.parametrize("strategy", paper_strategies(), ids=lambda s: s.name)
     def test_stream_bit_identical_per_strategy(self, stream, strategy):
         platform = grid5000.composed()
-        fast = optimized_session(platform, strategy)
-        fast.feed(stream)
-        ref = reference_session(platform, strategy)
-        ref.feed(stream)
-        assert_identical_stream_results(fast.result(), ref.result())
+        assert_identical_stream_results(
+            production_result(platform, stream, strategy),
+            oracle_result(platform, stream, strategy),
+        )
 
     @pytest.mark.parametrize("packing", [True, False], ids=["packing", "no-packing"])
     @pytest.mark.parametrize(
-        "mapper_cls", [ReadyListMapper, GlobalOrderMapper],
+        "mapper_cls,oracle_cls",
+        [
+            (ReadyListMapper, ReferenceReadyListMapper),
+            # under reference_implementation() the global-order mapper
+            # places with the oracle engine
+            (GlobalOrderMapper, GlobalOrderMapper),
+        ],
         ids=["ready-list", "global-order"],
     )
-    def test_mappers_bit_identical(self, workload, mapper_cls, packing):
+    def test_mappers_bit_identical(self, workload, mapper_cls, oracle_cls, packing):
         platform = grid5000.site("nancy")
         allocator = ScrapMaxAllocator()
         allocated = [
             AllocatedPTG(ptg, allocator.allocate(ptg, platform)) for ptg in workload
         ]
-        fast = mapper_cls(enable_packing=packing, delta=True).map(allocated, platform)
-        ref = mapper_cls(enable_packing=packing, delta=False).map(allocated, platform)
+        fast = mapper_cls(enable_packing=packing).map(allocated, platform)
+        with reference_implementation():
+            ref = oracle_cls(enable_packing=packing).map(allocated, platform)
         assert_identical_schedules(fast, ref)
 
     @pytest.mark.parametrize("packing", [True, False], ids=["packing", "no-packing"])
     def test_stream_packing_modes_bit_identical(self, stream, packing):
         platform = grid5000.site("sophia")
-        fast = optimized_session(platform, enable_packing=packing)
-        fast.feed(stream)
-        ref = reference_session(platform, enable_packing=packing)
-        ref.feed(stream)
-        assert_identical_stream_results(fast.result(), ref.result())
+        assert_identical_stream_results(
+            production_result(platform, stream, enable_packing=packing),
+            oracle_result(platform, stream, enable_packing=packing),
+        )
 
 
 class TestFastLoopGolden:
-    """The fused allocation loop equals the per-iteration recomputation."""
+    """Every CPA-family allocator equals the oracle's per-iteration loop."""
 
     ALLOCATORS = [
-        (CPAAllocator, {"efficiency_threshold": 0.3}, single_cluster_platform(
-            num_processors=24, speed_gflops=3.0)),
-        (HCPAAllocator, {}, grid5000.site("lille")),
-        (ScrapAllocator, {}, grid5000.site("nancy")),
-        (ScrapMaxAllocator, {}, grid5000.site("nancy")),
+        (CPAAllocator, {"efficiency_threshold": 0.3},
+         lambda beta, power: NoConstraint(),
+         single_cluster_platform(num_processors=24, speed_gflops=3.0)),
+        (HCPAAllocator, {}, lambda beta, power: NoConstraint(),
+         grid5000.site("lille")),
+        (ScrapAllocator, {}, AreaConstraint, grid5000.site("nancy")),
+        (ScrapMaxAllocator, {}, LevelConstraint, grid5000.site("nancy")),
     ]
 
     @pytest.mark.parametrize(
-        "allocator_cls,kwargs,platform", ALLOCATORS,
+        "allocator_cls,kwargs,constraint,platform", ALLOCATORS,
         ids=["cpa", "hcpa", "scrap", "scrap-max"],
     )
     @pytest.mark.parametrize("beta", [0.25, 0.6, 1.0])
     def test_allocations_and_stats_bit_identical(
-        self, workload, allocator_cls, kwargs, platform, beta
+        self, workload, allocator_cls, kwargs, constraint, platform, beta
     ):
+        reference = ReferenceCluster.of(platform)
         for ptg in workload:
-            fast_alloc = allocator_cls(fast=True, **kwargs)
-            slow_alloc = allocator_cls(fast=False, **kwargs)
-            fast = fast_alloc.allocate(ptg, platform, beta=beta)
-            slow = slow_alloc.allocate(ptg, platform, beta=beta)
-            for task in ptg.tasks():
-                assert fast.processors(task.task_id) == slow.processors(task.task_id)
-            if hasattr(fast_alloc, "last_stats"):
-                assert fast_alloc.last_stats == slow_alloc.last_stats
+            allocator = allocator_cls(**kwargs)
+            fast = allocator.allocate(ptg, platform, beta=beta)
+            ref, ref_stats = run_reference_allocation(
+                ptg, platform, reference, beta,
+                constraint(beta, platform.total_power_gflops), **kwargs
+            )
+            assert fast.as_dict() == ref.as_dict()
+            if hasattr(allocator, "last_stats"):
+                assert allocator.last_stats == ref_stats
 
     def test_freeze_heavy_case_bit_identical(self):
         """A tiny beta forces many per-level freezes (the freeze-skip path)."""
         platform = grid5000.site("lille")
+        reference = ReferenceCluster.of(platform)
         ptg = make_workload(
             WorkloadSpec(family="random", n_ptgs=1, seed=3, max_tasks=25)
         )[0]
-        fast_alloc = ScrapMaxAllocator(fast=True)
-        slow_alloc = ScrapMaxAllocator(fast=False)
-        fast = fast_alloc.allocate(ptg, platform, beta=0.1)
-        slow = slow_alloc.allocate(ptg, platform, beta=0.1)
-        for task in ptg.tasks():
-            assert fast.processors(task.task_id) == slow.processors(task.task_id)
-        assert fast_alloc.last_stats == slow_alloc.last_stats
-        assert fast_alloc.last_stats.frozen_tasks > 0  # the case exercises freezes
+        allocator = ScrapMaxAllocator()
+        fast = allocator.allocate(ptg, platform, beta=0.1)
+        ref, ref_stats = run_reference_allocation(
+            ptg, platform, reference, 0.1,
+            LevelConstraint(0.1, platform.total_power_gflops),
+        )
+        assert fast.as_dict() == ref.as_dict()
+        assert allocator.last_stats == ref_stats
+        assert ref_stats.frozen_tasks > 0  # the case exercises freezes
 
 
 class TestBatchedKernels:
@@ -237,11 +259,25 @@ class TestBatchedKernels:
 
     def test_batched_feed_bit_identical(self, stream):
         platform = grid5000.composed()
-        fast = StreamSession(platform, batch_compile=True)
-        fast.feed(stream)
-        ref = StreamSession(platform, batch_compile=False)
-        ref.feed(stream)
-        assert_identical_stream_results(fast.result(), ref.result())
+        assert_identical_stream_results(
+            production_result(platform, stream),
+            admit_one_by_one(StreamSession(platform), stream),
+        )
+
+    @pytest.mark.parametrize("entry_point", ["feed", "schedule"])
+    def test_failed_batch_drops_every_prebuilt_table(self, workload, entry_point):
+        """A raising allocator leaves no graph of the batch holding tables."""
+        platform = grid5000.site("nancy")
+        fresh = [ptg.copy(name=f"{ptg.name}-failed") for ptg in workload]
+        allocator = ExplodingAllocator(fresh[0].name)
+        with pytest.raises(AllocationError):
+            if entry_point == "feed":
+                StreamSession(platform, allocator=allocator).feed(
+                    [Arrival(ptg, 10.0 * i) for i, ptg in enumerate(fresh)]
+                )
+            else:
+                ConcurrentScheduler(allocator=allocator).schedule(fresh, platform)
+        assert [ptg.name for ptg in fresh if "alloc_tables" in ptg._cache] == []
 
 
 class ExplodingAllocator(ScrapMaxAllocator):
@@ -390,12 +426,8 @@ class TestDeltaEFTProperties:
             family="random", max_tasks=8,
         )
         stream = generate_arrivals(spec)
-        fast = optimized_session(platform)
-        fast.feed(stream)
-        ref = reference_session(platform)
-        ref.feed(stream)
-        fast_result, ref_result = fast.result(), ref.result()
-        assert_identical_stream_results(fast_result, ref_result)
+        fast_result = production_result(platform, stream)
+        assert_identical_stream_results(fast_result, oracle_result(platform, stream))
         report = validate_schedule(
             fast_result.schedule, [a.ptg for a in stream], platform
         )

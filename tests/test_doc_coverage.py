@@ -8,7 +8,9 @@ package is the public front door on top of them; the streaming package
 is the online workload engine, ``repro.service`` the admission daemon
 hosting it, ``repro.faults`` the fault-injection and repair layer
 perturbing it, and ``repro.validate`` the invariant checker guarding
-every schedule.  Every public class, function, method
+every schedule.  ``tests.oracles`` holds the frozen golden oracles those
+layers are checked against: they are the definition of correct, so
+they are audited too.  Every public class, function, method
 and property there must carry a docstring explaining what it
 implements.  This test enforces it so the documentation audit cannot
 rot.
@@ -31,6 +33,7 @@ import repro.exec
 import repro.service
 import repro.streaming
 import repro.validate
+import tests.oracles
 
 AUDITED_PACKAGES = (
     repro.dag,
@@ -44,6 +47,7 @@ AUDITED_PACKAGES = (
     repro.service,
     repro.streaming,
     repro.validate,
+    tests.oracles,
 )
 
 

@@ -6,7 +6,7 @@ queue) is a pure performance refactor: for every pipeline that touches it
 -- the eight constraint strategies, both mappers, packing on and off, the
 online scheduler and the HEFT / M-HEFT / aggregation baselines -- it must
 emit exactly the same :class:`~repro.mapping.schedule.Schedule` as the
-pre-refactor code kept in :mod:`repro.mapping._reference`.
+pre-refactor code frozen in :mod:`tests.oracles.mapping`.
 
 Every comparison below is **exact** (``==`` on floats, no tolerance): the
 optimized arithmetic reproduces the scalar IEEE-754 operation order, so
@@ -20,7 +20,6 @@ from repro.baselines.heft import HEFTScheduler
 from repro.baselines.mheft import MHEFTScheduler
 from repro.constraints.registry import paper_strategies
 from repro.experiments.workload import WorkloadSpec, make_workload
-from repro.mapping._reference import reference_implementation
 from repro.mapping.base import AllocatedPTG
 from repro.mapping.global_order import GlobalOrderMapper
 from repro.mapping.ready_list import ReadyListMapper
@@ -28,6 +27,8 @@ from repro.allocation.scrap import ScrapMaxAllocator
 from repro.platform import grid5000
 from repro.scheduler.concurrent import ConcurrentScheduler
 from repro.scheduler.online import Arrival, OnlineConcurrentScheduler
+
+from tests.oracles.mapping import ReferenceReadyListMapper, reference_implementation
 
 
 def assert_identical_schedules(fast, reference):
@@ -77,8 +78,6 @@ class TestGoldenMappers:
         allocated = allocate(workload, platform)
         fast = ReadyListMapper(enable_packing=packing).map(allocated, platform)
         with reference_implementation():
-            from repro.mapping._reference import ReferenceReadyListMapper
-
             ref = ReferenceReadyListMapper(enable_packing=packing).map(
                 allocated, platform
             )

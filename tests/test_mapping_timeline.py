@@ -158,7 +158,7 @@ class TestTimelineEdgeCases:
     def test_matches_reference_timeline_on_random_traffic(self):
         import numpy as np
 
-        from repro.mapping._reference import ReferenceClusterTimeline
+        from tests.oracles.mapping import ReferenceClusterTimeline
 
         rng = np.random.default_rng(11)
         fast = ClusterTimeline(Cluster("c", 16, 2.0))

@@ -4,7 +4,7 @@ The ``repro.streaming`` rework of the online path (incremental
 completion bookkeeping, chunked feeding) is a pure performance
 refactor: for every strategy, allocator and packing mode it must emit
 exactly the same schedule, betas, active sets and completion times as
-the pre-refactor :class:`~repro.scheduler._reference.ReferenceOnlineScheduler`
+the pre-refactor :class:`~tests.oracles.scheduler.ReferenceOnlineScheduler`
 on a fixed arrival list -- the mirror of ``test_mapping_golden.py`` for
 the online layer.
 
@@ -18,10 +18,11 @@ from repro.allocation.scrap import ScrapAllocator, ScrapMaxAllocator
 from repro.constraints.registry import paper_strategies
 from repro.experiments.workload import WorkloadSpec, make_workload
 from repro.platform import grid5000
-from repro.scheduler._reference import ReferenceOnlineScheduler
 from repro.scheduler.online import Arrival, OnlineConcurrentScheduler
 from repro.streaming.engine import StreamSession
 from repro.streaming.spec import ArrivalSpec, generate_arrivals
+
+from tests.oracles.scheduler import ReferenceOnlineScheduler
 
 
 def assert_identical_results(fast, ref):
