@@ -41,9 +41,12 @@ def bench_scrap_max_allocation_50_tasks(benchmark):
     """SCRAP-MAX allocation of one 50-task PTG on the Rennes subset."""
     platform = grid5000.rennes()
     ptg = _workload(n_apps=1, n_tasks=50, seed=2)[0]
-    allocator = ScrapMaxAllocator()
 
-    allocation = benchmark(lambda: allocator.allocate(ptg, platform, beta=0.25))
+    # a fresh allocator per round: a reused one would serve every round
+    # after the first from its memo instead of running the loop
+    allocation = benchmark(
+        lambda: ScrapMaxAllocator().allocate(ptg, platform, beta=0.25)
+    )
     assert len(allocation) == ptg.n_tasks
 
 

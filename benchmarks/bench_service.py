@@ -54,10 +54,16 @@ SLO_SECONDS = 2.5
 
 
 def _tenant_ptg(tenant: int, index: int) -> PTG:
-    """One tiny two-task chain, uniquely named per (tenant, submission)."""
+    """One tiny two-task chain, uniquely named per (tenant, submission).
+
+    Costs grow by 0.1% per submission index, so no tenant submits the
+    same graph twice: the allocator's memo would otherwise answer the
+    repeats instead of the allocation loop this gate times.
+    """
+    flops = 4e9 * (1.0 + 0.001 * index)
     graph = PTG(f"t{tenant:03d}-app-{index}")
-    graph.add_task(Task(0, flops=4e9, alpha=0.1, data_elements=4e6))
-    graph.add_task(Task(1, flops=4e9, alpha=0.1, data_elements=4e6))
+    graph.add_task(Task(0, flops=flops, alpha=0.1, data_elements=4e6))
+    graph.add_task(Task(1, flops=flops, alpha=0.1, data_elements=4e6))
     graph.add_edge(0, 1, 3.2e7)
     graph.validate()
     return graph

@@ -19,6 +19,11 @@ Provided procedures:
   constrained allocation with a *per precedence level* resource
   constraint.  This is the procedure used by the paper's concurrent
   scheduler.
+
+All four inherit one ``allocate``
+(:class:`~repro.allocation.iterative.IterativeAllocator`): the iterative
+loop behind an exact per-instance memo, so a graph whose content recurs
+at a ``beta`` it already had skips the loop.
 """
 
 from repro.allocation.reference import ReferenceCluster

@@ -14,22 +14,21 @@ platforms).
 
 from __future__ import annotations
 
-from repro.allocation.base import Allocation, AllocationProcedure
-from repro.allocation.iterative import NoConstraint, run_iterative_allocation
-from repro.allocation.reference import ReferenceCluster
+from repro.allocation.base import Allocation
+from repro.allocation.iterative import IterativeAllocator
 from repro.dag.graph import PTG
 from repro.exceptions import AllocationError
 from repro.platform.multicluster import MultiClusterPlatform
 
 
-class CPAAllocator(AllocationProcedure):
+class CPAAllocator(IterativeAllocator):
     """The CPA allocation procedure for homogeneous single-cluster platforms."""
 
     name = "CPA"
 
     def __init__(self, efficiency_threshold: float = 0.0) -> None:
         """The canonical CPA has no over-allocation guard (threshold 0)."""
-        self.efficiency_threshold = efficiency_threshold
+        super().__init__(efficiency_threshold=efficiency_threshold)
 
     def allocate(
         self, ptg: PTG, platform: MultiClusterPlatform, beta: float = 1.0
@@ -46,14 +45,4 @@ class CPAAllocator(AllocationProcedure):
                 f"{platform.name!r} has {len(platform)} clusters "
                 "(use HCPAAllocator instead)"
             )
-        reference = ReferenceCluster.of(platform)
-        allocation, _ = run_iterative_allocation(
-            ptg,
-            platform,
-            reference,
-            beta=beta,
-            constraint=NoConstraint(),
-            use_balance_stop=True,
-            efficiency_threshold=self.efficiency_threshold,
-        )
-        return allocation
+        return super().allocate(ptg, platform, beta=beta)

@@ -37,15 +37,27 @@ frozen in ``tests/oracles/allocation.py`` (asserted by
 subclasses run through the same loop: their :meth:`ConstraintCheck.violated`
 is called on a materialised :class:`~repro.allocation.base.Allocation`
 after each tentative increment.
+
+Memo
+----
+The four allocator classes share one ``allocate``
+(:class:`IterativeAllocator`) that keeps an exact memo in front of the
+loop, so a recurring job resubmitted under a new name at a ``beta`` it
+already had skips the loop, bit-identical by construction.
+:func:`run_iterative_allocation` stays memo-free, so custom checks
+(which may read anything in the graph, names included) are never
+memoised.
 """
 
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
-from typing import Optional
+import hashlib
+from collections import OrderedDict
+from dataclasses import dataclass, replace
+from typing import Optional, Tuple
 
-from repro.allocation.base import Allocation
+from repro.allocation.base import Allocation, AllocationProcedure
 from repro.allocation.fastloop import run_fused_loop
 from repro.allocation.reference import ReferenceCluster
 from repro.allocation.state import AllocationState
@@ -191,7 +203,20 @@ def run_iterative_allocation(
     Returns
     -------
     (Allocation, IterationStats)
+
+    Every call runs the loop: the memo lives in the allocator classes
+    (:class:`IterativeAllocator`), not here.
     """
+    _check_inputs(ptg, beta, efficiency_threshold)
+    cap = reference.max_allocation(platform)
+    return _run_loop(
+        ptg, reference, cap, beta, constraint, use_balance_stop,
+        max_iterations, efficiency_threshold,
+    )
+
+
+def _check_inputs(ptg: PTG, beta: float, efficiency_threshold: float) -> None:
+    """The argument checks every allocation pays, memo hit or not."""
     if not (0.0 < beta <= 1.0):
         raise AllocationError(f"beta must be in (0, 1], got {beta}")
     if not (0.0 <= efficiency_threshold <= 1.0):
@@ -199,8 +224,15 @@ def run_iterative_allocation(
             f"efficiency_threshold must be in [0, 1], got {efficiency_threshold}"
         )
     ptg.validate()
+
+
+def _run_loop(
+    ptg: PTG, reference: ReferenceCluster, cap: int, beta: float,
+    constraint: ConstraintCheck, use_balance_stop: bool,
+    max_iterations: Optional[int], efficiency_threshold: float,
+) -> tuple[Allocation, IterationStats]:
+    """Run the fused loop on checked inputs (see :func:`run_iterative_allocation`)."""
     stats = IterationStats()
-    cap = reference.max_allocation(platform)
     effective_ref_size = max(1.0, beta * reference.size)
     if max_iterations is None:
         max_iterations = ptg.n_tasks * cap + 1
@@ -235,3 +267,93 @@ def run_iterative_allocation(
 
     return state.as_allocation(), stats
 
+
+#: Keys each allocator instance's memo holds before it drops the least
+#: recently used one.  A long-lived daemon tenant keeps one allocator for
+#: its whole life, so the memo must stay bounded even when no graph ever
+#: repeats.
+MEMO_CAPACITY = 1024
+
+
+class IterativeAllocator(AllocationProcedure):
+    """The shared ``allocate`` of CPA, HCPA, SCRAP and SCRAP-MAX.
+
+    The procedures differ only in the :class:`ConstraintCheck` that
+    :meth:`make_constraint` hands to the loop.  The loop is a
+    deterministic function of the compiled graph
+    (:attr:`~repro.dag.arrays.DagArrays.digest`), the reference cluster,
+    the per-task cap, the platform's total power, ``beta``, the
+    constraint class, ``use_balance_stop`` and ``efficiency_threshold``,
+    so each instance memoises the processor counts and
+    :class:`IterationStats` of its :data:`MEMO_CAPACITY` most recently
+    used such keys.  A hit returns a fresh
+    :class:`~repro.allocation.base.Allocation` for the caller's graph and
+    a copy of the stored stats as :attr:`last_stats`, without building
+    an :class:`~repro.allocation.state.AllocationState`; it still raises
+    like a miss on a bad ``beta`` or ``efficiency_threshold`` and on an
+    invalid graph.
+
+    Parameters
+    ----------
+    use_balance_stop:
+        Stop at the CPA balance criterion (see
+        :func:`run_iterative_allocation`).
+    efficiency_threshold:
+        The over-allocation guard of ref. [11]; 0 disables it.
+    """
+
+    def __init__(
+        self,
+        use_balance_stop: bool = True,
+        efficiency_threshold: float = DEFAULT_EFFICIENCY_THRESHOLD,
+    ) -> None:
+        self.use_balance_stop = use_balance_stop
+        self.efficiency_threshold = efficiency_threshold
+        #: Diagnostics of the last :meth:`allocate` call.
+        self.last_stats: Optional[IterationStats] = None
+        # key -> (processors in task insertion order, stats of the run)
+        self._memo: "OrderedDict[bytes, Tuple[Tuple[int, ...], IterationStats]]" = OrderedDict()
+
+    def make_constraint(self, beta: float, platform_power_gflops: float) -> ConstraintCheck:
+        """The procedure's resource-constraint check (none: CPA / HCPA)."""
+        return NoConstraint()
+
+    def allocate(
+        self, ptg: PTG, platform: MultiClusterPlatform, beta: float = 1.0
+    ) -> Allocation:
+        """Allocate *ptg* on *platform* under *beta*, reusing a memoised run."""
+        reference = ReferenceCluster.of(platform)
+        power = platform.total_power_gflops
+        constraint = self.make_constraint(beta, power)
+        _check_inputs(ptg, beta, self.efficiency_threshold)
+        cap = reference.max_allocation(platform)
+        arrays = ptg.arrays()
+        # one SHA-256 over the graph digest and the repr of every other
+        # input the loop reads (float reprs round-trip exactly) keeps each
+        # key at 32 bytes, however large the objects behind it
+        inputs = (reference, cap, power, beta, type(constraint),
+                  self.use_balance_stop, self.efficiency_threshold)
+        key = hashlib.sha256(arrays.digest + repr(inputs).encode()).digest()
+        memo = self._memo
+        stored = memo.get(key)
+        if stored is None:
+            allocation, stats = _run_loop(
+                ptg, reference, cap, beta, constraint, self.use_balance_stop,
+                None, self.efficiency_threshold,
+            )
+            memo[key] = (tuple(allocation._procs.values()), replace(stats))
+            if len(memo) > MEMO_CAPACITY:
+                memo.popitem(last=False)
+        else:
+            memo.move_to_end(key)
+            procs, saved = stored
+            allocation = Allocation(ptg, reference, beta)
+            allocation._procs = dict(zip(arrays.task_ids_tuple, procs))
+            stats = replace(saved)
+            registry = meters.active()
+            if registry is not None:
+                registry.counter("allocation.calls").inc()
+                registry.counter("allocation.memo_hits").inc()
+                registry.counter("allocation.iterations_saved").inc(saved.iterations)
+        self.last_stats = stats
+        return allocation

@@ -25,51 +25,24 @@ ablation benchmark comparing the two.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
-
-from repro.allocation.base import Allocation, AllocationProcedure
+from repro.allocation.base import Allocation
 from repro.allocation.iterative import (
     AreaConstraint,
-    IterationStats,
+    ConstraintCheck,
+    IterativeAllocator,
     LevelConstraint,
-    run_iterative_allocation,
 )
-from repro.allocation.reference import ReferenceCluster
-from repro.dag.graph import PTG
 from repro.platform.multicluster import MultiClusterPlatform
 
 
-class ScrapAllocator(AllocationProcedure):
+class ScrapAllocator(IterativeAllocator):
     """SCRAP: constrained allocation with a global area constraint."""
 
     name = "SCRAP"
 
-    def __init__(
-        self,
-        use_balance_stop: bool = True,
-        efficiency_threshold: float = 0.0,
-    ) -> None:
-        self.use_balance_stop = use_balance_stop
-        self.efficiency_threshold = efficiency_threshold
-        self.last_stats: Optional[IterationStats] = None
-
-    def allocate(
-        self, ptg: PTG, platform: MultiClusterPlatform, beta: float = 1.0
-    ) -> Allocation:
-        """Allocate *ptg* under the global area constraint ``beta``."""
-        reference = ReferenceCluster.of(platform)
-        constraint = AreaConstraint(beta, platform.total_power_gflops)
-        allocation, stats = run_iterative_allocation(
-            ptg,
-            platform,
-            reference,
-            beta=beta,
-            constraint=constraint,
-            use_balance_stop=self.use_balance_stop,
-            efficiency_threshold=self.efficiency_threshold,
-        )
-        self.last_stats = stats
-        return allocation
+    def make_constraint(self, beta: float, platform_power_gflops: float) -> ConstraintCheck:
+        """SCRAP's check: the global area condition under ``beta``."""
+        return AreaConstraint(beta, platform_power_gflops)
 
     @staticmethod
     def respects_constraint(allocation: Allocation, platform: MultiClusterPlatform) -> bool:
@@ -80,37 +53,14 @@ class ScrapAllocator(AllocationProcedure):
         )
 
 
-class ScrapMaxAllocator(AllocationProcedure):
+class ScrapMaxAllocator(IterativeAllocator):
     """SCRAP-MAX: constrained allocation with a per-precedence-level constraint."""
 
     name = "SCRAP-MAX"
 
-    def __init__(
-        self,
-        use_balance_stop: bool = True,
-        efficiency_threshold: float = 0.0,
-    ) -> None:
-        self.use_balance_stop = use_balance_stop
-        self.efficiency_threshold = efficiency_threshold
-        self.last_stats: Optional[IterationStats] = None
-
-    def allocate(
-        self, ptg: PTG, platform: MultiClusterPlatform, beta: float = 1.0
-    ) -> Allocation:
-        """Allocate *ptg* under the per-level constraint ``beta``."""
-        reference = ReferenceCluster.of(platform)
-        constraint = LevelConstraint(beta, platform.total_power_gflops)
-        allocation, stats = run_iterative_allocation(
-            ptg,
-            platform,
-            reference,
-            beta=beta,
-            constraint=constraint,
-            use_balance_stop=self.use_balance_stop,
-            efficiency_threshold=self.efficiency_threshold,
-        )
-        self.last_stats = stats
-        return allocation
+    def make_constraint(self, beta: float, platform_power_gflops: float) -> ConstraintCheck:
+        """SCRAP-MAX's check: the per-level power condition under ``beta``."""
+        return LevelConstraint(beta, platform_power_gflops)
 
     @staticmethod
     def respects_constraint(allocation: Allocation, platform: MultiClusterPlatform) -> bool:

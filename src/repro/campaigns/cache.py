@@ -9,15 +9,18 @@ so that
 
 * the seven-or-eight strategies of one experiment share one computation
   (as the serial runner already does),
-* structurally identical applications across experiments (e.g. every
-  Strassen PTG, or the same workload replayed on the same platform by a
-  resumed run) share one computation campaign-wide,
+* the same workload replayed on the same platform by a resumed run
+  shares one computation campaign-wide,
 * a persisted cache (:meth:`OwnMakespanCache.save`) lets an interrupted
   campaign resume without re-simulating any reference makespan.
 
+Distinct applications of a generated workload do not share entries:
+every family draws its task costs per graph, so even the Strassen and
+FFT PTGs of one workload all have different fingerprints.
+
 Fingerprints are SHA-256 digests of the canonical JSON serialisation of
-the object *content* (the PTG name is excluded so that two generators
-producing the same graph under different names share cache entries).
+the object *content* (the PTG name is excluded, so a renamed copy of a
+graph shares its cache entries).
 """
 
 from __future__ import annotations
@@ -45,9 +48,10 @@ def ptg_fingerprint(graph: PTG) -> str:
     """Content fingerprint of a PTG.
 
     Only scheduling-relevant content is hashed: task costs and edges.
-    Graph and task *names* are excluded, so the structurally identical
-    applications of a workload (every Strassen PTG, repeated FFT sizes)
-    share one fingerprint -- and therefore one cached reference makespan.
+    Graph and task *names* are excluded, so a renamed copy of a graph
+    (a replayed workload, a recurring job) shares its fingerprint -- and
+    therefore its cached reference makespan.  Generated workloads draw
+    task costs per graph, so their applications never share one.
     """
     payload = ptg_to_dict(graph)
     payload.pop("name", None)

@@ -41,6 +41,7 @@ semantics -- never the pairwise-summing :func:`numpy.sum`.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
@@ -191,6 +192,22 @@ class DagArrays:
         )
 
     @cached_property
+    def digest(self) -> bytes:
+        """SHA-256 over every :data:`_FIELD_DTYPES` field, each length-prefixed.
+
+        Graphs with equal compilations (task ids and insertion order,
+        costs, adjacency, topological order, levels) share a digest; graph
+        and task names and edge data sizes are not compiled, so they never
+        enter it.  The allocation memo of
+        :class:`repro.allocation.iterative.IterativeAllocator` keys on it.
+        """
+        parts = []
+        for name, _ in _FIELD_DTYPES:
+            values = getattr(self, name)
+            parts += (values.size.to_bytes(8, "little"), values.tobytes())
+        return hashlib.sha256(b"".join(parts)).digest()
+
+    @cached_property
     def dp_plan(
         self,
     ) -> Tuple[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], ...]:
@@ -338,8 +355,9 @@ class DagArrays:
 
 
 
-#: Per-graph list fields gathered by :func:`_gather`, with the dtype the
-#: concatenated arena (or the single-graph array) is built with.
+#: Per-graph list fields gathered by :func:`_gather` (and hashed by
+#: :attr:`DagArrays.digest`), with the dtype the concatenated arena (or
+#: the single-graph array) is built with.
 _FIELD_DTYPES: Tuple[Tuple[str, type], ...] = (
     ("task_ids", np.int64),
     ("flops", np.float64),

@@ -112,7 +112,7 @@ def run_experiment(
     *allocator* and *mapper* select the pipeline; ``None`` keeps the
     paper's defaults (SCRAP-MAX allocation, ready-list mapping with
     packing).  Instances are shared across the strategies of the
-    experiment -- the built-in procedures are stateless per call.
+    experiment: a built-in allocator's memo returns what its loop would.
     """
     if not ptgs:
         raise ConfigurationError("at least one PTG is required")

@@ -79,27 +79,15 @@ class ClusterTimeline:
         """A copy of the per-processor free times."""
         return self._free_at.copy()
 
-    def kth_free_times(self) -> np.ndarray:
-        """The sorted processor free times (ascending).
+    def kth_free_list(self) -> List[float]:
+        """The sorted processor free times (ascending) as a plain Python list.
 
         Entry ``k-1`` is the earliest time at which ``k`` processors are
         simultaneously free under the non-insertion policy, so every
         candidate processor count of the allocation packing rule can be
-        evaluated against this single array instead of issuing one
-        :meth:`earliest_start` query per count.
-
-        The returned array is the timeline's internal state: callers must
-        not mutate it (take a ``.copy()`` to keep it across reservations).
-        """
-        return self._sorted_free
-
-    def kth_free_list(self) -> List[float]:
-        """The sorted processor free times as a plain Python list.
-
-        Same values as :meth:`kth_free_times` (entry ``k-1`` is the
-        earliest time ``k`` processors are simultaneously free), kept in
-        sync incrementally across reservations so the delta-EFT engine
-        can read frontier entries without per-access NumPy boxing.  The
+        evaluated against this one list.  It is kept in sync
+        incrementally across reservations so the delta-EFT engine can
+        read frontier entries without per-access NumPy boxing.  The
         returned list is internal state: callers must not mutate it.
         """
         cached = self._sorted_list

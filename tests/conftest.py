@@ -81,6 +81,12 @@ def lille():
     return grid5000.lille()
 
 
+def memo_hits(session):
+    """``allocation.memo_hits`` counted by one ``obs.capture()`` session."""
+    counter = session.registry.counters.get("allocation.memo_hits")
+    return 0 if counter is None else counter.value
+
+
 def make_chain_ptg(name="chain", n=4, flops=8e9, alpha=0.1, data=4e6):
     """A linear chain of *n* identical tasks."""
     graph = PTG(name)

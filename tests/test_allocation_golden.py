@@ -14,10 +14,20 @@ the scalar IEEE-754 operation order (fold-left sums included), so any
 drift is a regression.  Coverage follows the paper's workload shapes: a
 seeded batch of ~50 random PTGs (the fig2/fig3 family) plus the FFT
 (fig4) and Strassen (fig5) families, across several betas and platforms.
+
+The allocator classes put an exact memo in front of the loop, and no
+generated workload repeats a graph, so :class:`TestMemoGolden` builds
+the repeats itself: a copy that changes anything the loop reads must
+miss, and one that changes nothing it reads must hit, each equal to the
+oracle for its own inputs.
 """
+
+import dataclasses
 
 import pytest
 
+from repro import obs
+from repro.allocation import iterative
 from repro.allocation.cpa import CPAAllocator
 from repro.allocation.hcpa import HCPAAllocator
 from repro.allocation.iterative import (
@@ -31,10 +41,13 @@ from repro.allocation.reference import ReferenceCluster
 from repro.allocation.scrap import ScrapAllocator, ScrapMaxAllocator
 from repro.dag.arrays import SMALL_GRAPH_CUTOFF
 from repro.dag.generator import RandomPTGConfig, generate_random_ptg
+from repro.dag.graph import PTG
+from repro.exceptions import AllocationError
 from repro.experiments.workload import WorkloadSpec, make_workload
 from repro.platform import grid5000
 from repro.platform.builder import single_cluster_platform
 
+from tests.conftest import memo_hits
 from tests.oracles.allocation import run_reference_allocation
 
 BETAS = (0.25, 0.6, 1.0)
@@ -193,3 +206,143 @@ class TestGoldenCustomConstraint:
         assert fast_stats == ref_stats
         assert max(fast_alloc.as_dict().values()) <= 4
         assert fast_stats.stopped_by_constraint == stop_on_violation
+
+
+def rebuilt(ptg, name, tasks=None, edges=None):
+    """A renamed graph from *ptg*'s (or the given) tasks and edges."""
+    return PTG(name, tasks=tasks or ptg.tasks(), edges=edges or ptg.edges())
+
+
+def with_task(ptg, name, **change):
+    """A renamed copy whose first real task has *change* applied."""
+    target = ptg.real_tasks()[0].task_id
+    return rebuilt(ptg, name, tasks=[
+        dataclasses.replace(t, **change) if t.task_id == target else t
+        for t in ptg.tasks()
+    ])
+
+
+def with_extra_edge(ptg, name):
+    """A renamed copy with one more edge (acyclic: it follows topological order)."""
+    order = ptg.topological_order()
+    for i, src in enumerate(order[1:-1], start=1):
+        for dst in order[i + 1 : -1]:
+            if dst not in ptg.successors(src):
+                return rebuilt(ptg, name, edges=ptg.edges() + [(src, dst, 1e6)])
+    raise AssertionError(f"{ptg.name} has no free edge slot")
+
+
+class TestMemoGolden:
+    """Only a copy that changes nothing the loop reads hits the memo."""
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        return make_workload(
+            WorkloadSpec(family="random", n_ptgs=1, seed=21, max_tasks=20)
+        )[0]
+
+    @staticmethod
+    def assert_oracle(allocator, allocation, platform, beta, **kwargs):
+        """SCRAP-MAX result and ``last_stats`` equal the oracle's on these inputs."""
+        ref_alloc, ref_stats = run_reference_allocation(
+            allocation.ptg, platform, ReferenceCluster.of(platform), beta,
+            LevelConstraint(beta, platform.total_power_gflops), **kwargs
+        )
+        assert allocation.as_dict() == ref_alloc.as_dict()
+        assert allocator.last_stats == ref_stats
+
+    @pytest.mark.parametrize("variant", [
+        "alpha", "flops", "extra-edge", "beta", "platform", "efficiency_threshold",
+    ])
+    def test_changed_input_misses_and_equals_its_oracle(self, graph, variant):
+        platform, beta, threshold = grid5000.site("nancy"), 0.6, 0.0
+        allocator = ScrapMaxAllocator()
+        allocator.allocate(graph, platform, beta=beta)
+        name = f"{graph.name}-{variant}"
+        task = graph.real_tasks()[0]
+        copy = graph.copy(name=name)
+        if variant == "alpha":
+            copy = with_task(graph, name, alpha=task.alpha / 2)
+        elif variant == "flops":
+            copy = with_task(graph, name, flops=task.flops * 2)
+        elif variant == "extra-edge":
+            copy = with_extra_edge(graph, name)
+        elif variant == "beta":
+            beta = 0.25
+        elif variant == "platform":
+            platform = grid5000.site("lille")
+        else:
+            threshold = allocator.efficiency_threshold = 0.5
+        with obs.capture() as session:
+            allocation = allocator.allocate(copy, platform, beta=beta)
+        assert memo_hits(session) == 0
+        assert allocation.ptg is copy
+        self.assert_oracle(
+            allocator, allocation, platform, beta, efficiency_threshold=threshold
+        )
+
+    def test_edge_data_sizes_are_not_part_of_the_key(self, graph):
+        platform = grid5000.site("nancy")
+        allocator = ScrapMaxAllocator()
+        allocator.allocate(graph, platform, beta=0.6)
+        heavier = rebuilt(graph, f"{graph.name}-data", edges=[
+            (src, dst, 2.0 * data + 1.0) for src, dst, data in graph.edges()
+        ])
+        with obs.capture() as session:
+            allocation = allocator.allocate(heavier, platform, beta=0.6)
+        assert memo_hits(session) == 1
+        assert allocation.ptg is heavier
+        self.assert_oracle(allocator, allocation, platform, 0.6)
+
+    def test_results_are_isolated_from_the_memo(self, graph):
+        platform = grid5000.site("nancy")
+        allocator = ScrapMaxAllocator()
+        first = allocator.allocate(graph, platform, beta=0.6)
+        expected = first.as_dict()
+        allocator.last_stats.iterations = -1  # the stats a miss returned
+        second = allocator.allocate(graph.copy(name="second"), platform, beta=0.6)
+        allocator.last_stats.iterations = -1  # the stats a hit returned
+        for result in (first, second):
+            for tid in expected:
+                result.set_processors(tid, 1)
+        third = allocator.allocate(graph.copy(name="third"), platform, beta=0.6)
+        assert third.as_dict() == expected
+        self.assert_oracle(allocator, third, platform, 0.6)
+
+    def test_capacity_evicts_the_least_recently_used(self, monkeypatch):
+        monkeypatch.setattr(iterative, "MEMO_CAPACITY", 2)
+        platform = grid5000.site("nancy")
+        g1, g2, g3 = make_workload(
+            WorkloadSpec(family="random", n_ptgs=3, seed=22, max_tasks=10)
+        )
+        allocator = ScrapMaxAllocator()
+        copies = iter(range(100))
+
+        def hits(graph):
+            copy = graph.copy(name=f"{graph.name}-copy-{next(copies)}")
+            with obs.capture() as session:
+                allocator.allocate(copy, platform, beta=0.6)
+            return memo_hits(session) == 1
+
+        allocator.allocate(g1, platform, beta=0.6)
+        allocator.allocate(g2, platform, beta=0.6)
+        assert hits(g1)  # g1 becomes the most recently used
+        allocator.allocate(g3, platform, beta=0.6)  # evicts g2, not g1
+        assert hits(g3) and hits(g1)
+        assert not hits(g2)
+
+    def test_a_hit_keeps_every_check(self, graph):
+        platform = grid5000.site("nancy")
+        allocator = ScrapMaxAllocator()
+        allocator.allocate(graph, platform, beta=0.6)
+        copy = graph.copy(name="checked")
+        with pytest.raises(AllocationError, match="beta must be in"):
+            allocator.allocate(copy, platform, beta=1.5)
+        allocator.efficiency_threshold = 1.5
+        with pytest.raises(AllocationError, match="efficiency_threshold"):
+            allocator.allocate(copy, platform, beta=0.6)
+        cpa = CPAAllocator()
+        single = single_cluster_platform(num_processors=24, speed_gflops=3.0)
+        cpa.allocate(graph, single)
+        with pytest.raises(AllocationError, match="single-cluster"):
+            cpa.allocate(copy, platform)

@@ -14,7 +14,10 @@ bit-identical to the oracles frozen in ``tests/oracles/``:
 * the **batched multi-PTG kernels** (``compile_arrays_batch``,
   ``prepare_allocation_tables``, run by ``StreamSession.feed`` on a
   batch of several arrivals): stacked-arena compilation must hand every
-  consumer the same arrays and tables as the per-graph construction.
+  consumer the same arrays and tables as the per-graph construction;
+* the **allocation memo** of the allocator classes: a renamed copy of
+  a graph, and a stream of recurring jobs admitted one by one or fed at
+  once, hit it and still equal the oracles.
 
 Every comparison is **exact** (``==`` on floats, no tolerance), the same
 discipline as ``test_mapping_golden.py`` / ``test_allocation_golden.py``.
@@ -29,6 +32,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import obs
 from repro.allocation.cpa import CPAAllocator
 from repro.allocation.hcpa import HCPAAllocator
 from repro.allocation.iterative import AreaConstraint, LevelConstraint, NoConstraint
@@ -40,6 +44,7 @@ from repro.allocation.state import (
 )
 from repro.allocation.reference import ReferenceCluster
 from repro.constraints.registry import paper_strategies
+from repro.constraints.strategies import EqualShareStrategy
 from repro.dag.arrays import compile_arrays, compile_arrays_batch
 from repro.exceptions import AllocationError, ConfigurationError, MappingError
 from repro.experiments.workload import WorkloadSpec, make_workload
@@ -53,7 +58,7 @@ from repro.streaming.engine import Arrival, OnlineScheduleResult, StreamSession
 from repro.streaming.spec import ArrivalSpec, generate_arrivals
 from repro.validate import validate_schedule
 
-from tests.conftest import make_chain_ptg
+from tests.conftest import make_chain_ptg, memo_hits
 from tests.oracles.allocation import ReferenceScrapMaxAllocator, run_reference_allocation
 from tests.oracles.mapping import ReferenceReadyListMapper, reference_implementation
 
@@ -160,7 +165,11 @@ class TestDeltaEFTGolden:
 
 
 class TestFastLoopGolden:
-    """Every CPA-family allocator equals the oracle's per-iteration loop."""
+    """Every CPA-family allocator equals the oracle's per-iteration loop.
+
+    A renamed copy of each graph then hits the allocator's memo and must
+    equal the oracle as well.
+    """
 
     ALLOCATORS = [
         (CPAAllocator, {"efficiency_threshold": 0.3},
@@ -183,14 +192,19 @@ class TestFastLoopGolden:
         reference = ReferenceCluster.of(platform)
         for ptg in workload:
             allocator = allocator_cls(**kwargs)
-            fast = allocator.allocate(ptg, platform, beta=beta)
             ref, ref_stats = run_reference_allocation(
                 ptg, platform, reference, beta,
                 constraint(beta, platform.total_power_gflops), **kwargs
             )
-            assert fast.as_dict() == ref.as_dict()
-            if hasattr(allocator, "last_stats"):
+            # a renamed copy is an allocation memo hit, equally exact
+            copy = ptg.copy(name=f"{ptg.name}-again")
+            for graph in (ptg, copy):
+                with obs.capture() as session:
+                    fast = allocator.allocate(graph, platform, beta=beta)
+                assert fast.as_dict() == ref.as_dict()
                 assert allocator.last_stats == ref_stats
+                assert fast.ptg is graph
+                assert memo_hits(session) == (graph is copy)
 
     def test_freeze_heavy_case_bit_identical(self):
         """A tiny beta forces many per-level freezes (the freeze-skip path)."""
@@ -208,6 +222,43 @@ class TestFastLoopGolden:
         assert fast.as_dict() == ref.as_dict()
         assert allocator.last_stats == ref_stats
         assert ref_stats.frozen_tasks > 0  # the case exercises freezes
+
+
+class TestRecurringStreamGolden:
+    """Recurring jobs hit the allocation memo and stay oracle-exact."""
+
+    @pytest.fixture(scope="class")
+    def recurring(self):
+        # renamed copies of three templates in bursts of three: under ES
+        # each burst meets betas 1, 1/2 and 1/3 again, so (graph, beta)
+        # pairs repeat from the second burst on
+        templates = make_workload(
+            WorkloadSpec(family="random", n_ptgs=3, seed=17, max_tasks=12)
+        )
+        return [
+            Arrival(
+                templates[i % 3].copy(name=f"job-{i:02d}"),
+                1000.0 * (i // 3) + 0.5 * (i % 3),
+            )
+            for i in range(12)
+        ]
+
+    @pytest.mark.parametrize("entry_point", ["admit", "feed"])
+    def test_recurring_stream_bit_identical(self, recurring, entry_point):
+        platform = grid5000.composed()
+        strategy = EqualShareStrategy()
+        session = StreamSession(platform, strategy)
+        with obs.capture() as capture:
+            if entry_point == "admit":
+                result = admit_one_by_one(session, recurring)
+            else:
+                session.feed(recurring)
+                result = session.result()
+        assert_identical_stream_results(
+            result, oracle_result(platform, recurring, strategy)
+        )
+        assert len(set(result.betas.values())) == 3
+        assert memo_hits(capture) == 9  # only the first burst runs the loop
 
 
 class TestBatchedKernels:

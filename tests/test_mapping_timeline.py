@@ -113,23 +113,25 @@ class TestTimelineEdgeCases:
             assert finish == float(round_ + 1)
 
     def test_sorted_view_matches_free_times(self, timeline):
-        import numpy as np
+        # kth_free_list() is the sorted mirror the EFT engine reads: it is
+        # spliced on reserve, rebuilt after block and rollback, and must
+        # equal the sorted per-processor free times after each of them
+        def sorted_free():
+            return sorted(timeline.free_times().tolist())
 
+        timeline.kth_free_list()  # materialised: reserve splices it
         timeline.reserve(2, 0.0, 7.0)
         timeline.reserve(1, 1.0, 2.5)
         timeline.reserve(3, 0.0, 4.0)
-        assert np.array_equal(
-            timeline.kth_free_times(), np.sort(timeline.free_times())
-        )
-
-    def test_kth_free_times_view_not_mutated_by_reserve(self, timeline):
-        # reserve() replaces the sorted array instead of mutating it, so a
-        # view handed out before the reservation keeps its values -- the
-        # EFT engine relies on this while sweeping packing candidates
-        view = timeline.kth_free_times()
-        timeline.reserve(1, 0.0, 9.0)
-        assert list(view) == [0.0] * 4
-        assert list(timeline.kth_free_times()) == [0.0, 0.0, 0.0, 9.0]
+        assert timeline.kth_free_list() == sorted_free()
+        timeline.block([0, 3], 12.0)
+        assert timeline.kth_free_list() == sorted_free()
+        before = list(timeline.kth_free_list())
+        timeline.begin_transaction()
+        timeline.reserve(2, 0.0, 1.5)
+        assert timeline.kth_free_list() == sorted_free()
+        timeline.rollback_transaction()
+        assert timeline.kth_free_list() == sorted_free() == before
 
     def test_earliest_start_error_paths(self, timeline):
         with pytest.raises(MappingError, match="cannot reserve 0 processors"):

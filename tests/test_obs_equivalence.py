@@ -65,22 +65,37 @@ def test_scheduler_output_is_bit_identical_with_telemetry_on():
     assert traced.makespans == baseline.makespans
     # and the capture actually observed the run
     assert any(s.name == "scheduler.allocate" for s in session.spans)
-    assert session.registry.counters["allocation.calls"].value > 0
+    # the second schedule repeats the same three (graph, beta) pairs: all
+    # three are memo hits, counted as calls, and no loop span opens
+    counters = session.registry.counters
+    assert counters["allocation.calls"].value == 3
+    assert counters["allocation.memo_hits"].value == 3
+    assert counters["allocation.iterations_saved"].value > 0
+    assert "allocation.iterations" not in counters
+    assert not any(s.name == "allocation.iterate" for s in session.spans)
 
 
 def test_allocation_stats_are_bit_identical_with_telemetry_on():
     platform = grid5000.rennes()
     ptg = make_ptgs(n=1)[0]
+
+    baseline_allocator = ScrapMaxAllocator()
+    baseline_allocation = baseline_allocator.allocate(ptg, platform, beta=0.5)
+    baseline_stats = baseline_allocator.last_stats
+    # a fresh allocator runs the loop under capture; its second call is
+    # a memo hit, which must report the same stats
     allocator = ScrapMaxAllocator()
+    with obs.capture() as session:
+        for _ in range(2):
+            traced_allocation = allocator.allocate(ptg, platform, beta=0.5)
+            traced_stats = allocator.last_stats
+            assert dataclasses.asdict(traced_stats) == dataclasses.asdict(baseline_stats)
+            assert traced_allocation.as_dict() == baseline_allocation.as_dict()
 
-    baseline_allocation = allocator.allocate(ptg, platform, beta=0.5)
-    baseline_stats = allocator.last_stats
-    with obs.capture():
-        traced_allocation = allocator.allocate(ptg, platform, beta=0.5)
-        traced_stats = allocator.last_stats
-
-    assert dataclasses.asdict(traced_stats) == dataclasses.asdict(baseline_stats)
-    assert traced_allocation.as_dict() == baseline_allocation.as_dict()
+    counters = session.registry.counters
+    assert counters["allocation.memo_hits"].value == 1
+    assert counters["allocation.iterations"].value == baseline_stats.iterations
+    assert counters["allocation.iterations_saved"].value == baseline_stats.iterations
 
 
 def test_scenario_results_are_bit_identical_with_telemetry_on():
