@@ -39,10 +39,13 @@ oracle frozen in ``tests/oracles/allocation.py``:
   identical IEEE-754 value, so propagating only nodes whose recomputed
   value differs (and their predecessors), in decreasing topological
   position, reproduces the full DP exactly;
-* the balance and constraint comparisons use the same fold-left sums
-  (Python ``sum`` over the state's incrementally maintained areas and
-  over the members of the incremented task's precedence level) and
-  the same ``beta * P + 1e-12`` limits, in the same operation order;
+* the balance and constraint comparisons make the same built-in
+  ``sum`` calls as the oracle (over the state's incrementally
+  maintained areas and over the members of the incremented task's
+  precedence level) -- never a ``+=`` loop, :func:`math.fsum` or
+  :func:`numpy.sum`, since from Python 3.12 on ``sum`` of floats is
+  compensated rather than a left-to-right fold -- and use the same
+  ``beta * P + 1e-12`` limits, in the same operation order;
 * the candidate scan keeps the first maximal ``(gain, -task_id)`` key
   exactly like the oracle's ``max(candidates, key=...)``: a
   candidate only replaces the incumbent on a strictly greater key;

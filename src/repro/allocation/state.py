@@ -21,8 +21,8 @@ scratch through per-task method calls -- including the construction of an
 * the current per-task durations and areas, refreshed in O(1) per
   increment by :func:`~repro.allocation.fastloop.run_fused_loop`, which
   makes the total area (and hence SCRAP's average power) and
-  SCRAP-MAX's per-level power single fold-left sums instead of per-task
-  method-call cascades,
+  SCRAP-MAX's per-level power single built-in ``sum`` calls instead of
+  per-task method-call cascades,
 * the critical-path DP over the precomputed topology of the shared
   :class:`~repro.dag.arrays.DagArrays` compilation -- the vectorized
   level-batched pass for large graphs, or its bit-identical scalar
@@ -33,9 +33,11 @@ Exactness
 ---------
 Every table entry and every sum reproduces the IEEE-754 operation order
 of the scalar code in :class:`~repro.allocation.base.Allocation` /
-:class:`~repro.dag.cost_models.AmdahlTaskModel`: fold-left sums are
-Python's built-in ``sum`` (the reference's own semantics) and maxima are
-exact.  The resulting allocations and iteration diagnostics are therefore
+:class:`~repro.dag.cost_models.AmdahlTaskModel`: every float sum is the
+same built-in ``sum`` call the reference makes, never a ``+=`` loop,
+:func:`math.fsum` or :func:`numpy.sum` (since Python 3.12 ``sum`` of
+floats is compensated, not a left-to-right fold, so only the same call
+agrees), and maxima are exact.  The resulting allocations and iteration diagnostics are therefore
 **bit-identical** to the dict-based oracle frozen in
 ``tests/oracles/allocation.py``, which ``tests/test_allocation_golden.py``
 asserts across procedures, workload families and betas.

@@ -33,10 +33,12 @@ Every numeric routine here reproduces the IEEE-754 operation order of the
 scalar formulation it accelerates, so consumers can assert bit-identical
 results against the dict-based code paths: the bottom-level DP performs
 the same ``duration + max(successor levels)`` additions (``max`` itself
-is exact), and consumers that need fold-left float sums over these
-arrays (e.g. :class:`repro.allocation.state.AllocationState`) use
-Python's built-in left-to-right ``sum`` -- the reference's own
-semantics -- never the pairwise-summing :func:`numpy.sum`.
+is exact), and consumers that sum floats over these arrays (e.g.
+:class:`repro.allocation.state.AllocationState`) make the same built-in
+``sum`` call as the reference -- never a ``+=`` loop, :func:`math.fsum`
+or :func:`numpy.sum`.  That call is not a left-to-right fold on every
+Python: since 3.12 the built-in ``sum`` of floats is compensated, so
+only the same call agrees with the reference on every version.
 """
 
 from __future__ import annotations

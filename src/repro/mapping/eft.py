@@ -24,8 +24,8 @@ time) + duration at the translated allocation``), evaluates clusters in
 ascending bound order and stops as soon as the next bound exceeds the
 best finish found -- dominated clusters are skipped without computing
 their candidates.  The per-cluster evaluation itself runs on the plain
-Python frontier mirror (:meth:`~repro.mapping.timeline.ClusterTimeline.
-kth_free_list`, invalidated incrementally on reserve) with memoized
+Python frontier (:meth:`~repro.mapping.timeline.ClusterTimeline.
+kth_free_list`, updated in place on reserve) with memoized
 allocation translations, and the packing sweep walks the allocation
 sizes ``p-1 .. 1`` over that frontier, short-circuiting once the
 remaining (monotonically non-decreasing) candidate finishes can no

@@ -11,19 +11,22 @@ on the ready-task ordering plus the allocation packing mechanism.
 
 Performance
 -----------
-A timeline maintains the free times twice: per processor (needed to pick
-concrete processor indices) and as an **incrementally sorted array**.
-Reserving ``p`` processors removes the ``p`` smallest entries from the
-sorted array and re-inserts ``p`` copies of the finish time at the
-position found by :func:`numpy.searchsorted`, so the array never needs a
-full sort or an :func:`numpy.partition` again.  ``earliest_start`` then
-becomes an O(1) lookup of the ``p``-th entry, and the EFT packing sweep in
+A timeline keeps its state in three plain Python lists: the free time of
+each processor, the ``(free time, index)`` pair of every processor in
+ascending order, and the sorted free times alone.  ``earliest_start`` is
+an O(1) lookup of the ``p``-th sorted free time,
+``select_processors(p)`` reads the indices of the first ``p`` pairs
+(exactly the ``(free time, index)`` lexicographic order), and
+``reserve`` drops the first ``p`` entries of both sorted lists and
+inserts the new finish time with :mod:`bisect` -- no NumPy call on
+arrays of at most a few hundred entries.  The EFT packing sweep in
 :mod:`repro.mapping.eft` reads the whole candidate range ``k = 1..p``
-from its plain-list mirror, :meth:`ClusterTimeline.kth_free_list`.
+from the sorted free times, :meth:`ClusterTimeline.kth_free_list`.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -54,21 +57,19 @@ class ClusterTimeline:
 
     def __init__(self, cluster: Cluster) -> None:
         self.cluster = cluster
-        self._free_at = np.zeros(cluster.num_processors, dtype=float)
-        # Sorted copy of ``_free_at`` (values only), kept in sync by
-        # ``reserve`` with a searchsorted insert instead of re-sorting.
-        self._sorted_free = np.zeros(cluster.num_processors, dtype=float)
-        # Plain-Python mirror of ``_sorted_free``, materialised on demand
-        # by :meth:`kth_free_list` and spliced incrementally on reserve:
-        # the delta-EFT engine reads individual entries thousands of
-        # times, where NumPy scalar boxing would dominate.  ``None``
-        # means "rebuild from ``_sorted_free`` on next access".
-        self._sorted_list: Optional[List[float]] = None
+        count = cluster.num_processors
+        self._free_at: List[float] = [0.0] * count
+        # every processor as a (free time, index) pair, ascending
+        self._pairs: List[Tuple[float, int]] = [(0.0, i) for i in range(count)]
+        # the free times of ``_pairs`` alone
+        self._sorted: List[float] = [0.0] * count
         # Transaction support (:meth:`begin_transaction`): when active,
         # the first mutation snapshots the pre-transaction state so a
         # rollback can restore it bitwise.
         self._txn_active = False
-        self._txn_saved: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        self._txn_saved: Optional[
+            Tuple[List[float], List[Tuple[float, int]], List[float]]
+        ] = None
 
     @property
     def num_processors(self) -> int:
@@ -77,7 +78,7 @@ class ClusterTimeline:
 
     def free_times(self) -> np.ndarray:
         """A copy of the per-processor free times."""
-        return self._free_at.copy()
+        return np.array(self._free_at, dtype=float)
 
     def kth_free_list(self) -> List[float]:
         """The sorted processor free times (ascending) as a plain Python list.
@@ -85,15 +86,11 @@ class ClusterTimeline:
         Entry ``k-1`` is the earliest time at which ``k`` processors are
         simultaneously free under the non-insertion policy, so every
         candidate processor count of the allocation packing rule can be
-        evaluated against this one list.  It is kept in sync
-        incrementally across reservations so the delta-EFT engine can
-        read frontier entries without per-access NumPy boxing.  The
-        returned list is internal state: callers must not mutate it.
+        evaluated against this one list.  The returned list is internal
+        state, updated in place by :meth:`reserve`: callers must not
+        mutate it.
         """
-        cached = self._sorted_list
-        if cached is None:
-            cached = self._sorted_list = self._sorted_free.tolist()
-        return cached
+        return self._sorted
 
     # ------------------------------------------------------------------ #
     # transactions (used by the streaming session's atomic admission)
@@ -115,7 +112,9 @@ class ClusterTimeline:
 
     def _txn_snapshot(self) -> None:
         if self._txn_active and self._txn_saved is None:
-            self._txn_saved = (self._free_at.copy(), self._sorted_free.copy())
+            self._txn_saved = (
+                list(self._free_at), list(self._pairs), list(self._sorted)
+            )
 
     def commit_transaction(self) -> None:
         """Keep the mutations made since :meth:`begin_transaction`."""
@@ -125,8 +124,7 @@ class ClusterTimeline:
     def rollback_transaction(self) -> None:
         """Restore the timeline to its :meth:`begin_transaction` state."""
         if self._txn_saved is not None:
-            self._free_at, self._sorted_free = self._txn_saved
-            self._sorted_list = None
+            self._free_at, self._pairs, self._sorted = self._txn_saved
         self._txn_active = False
         self._txn_saved = None
 
@@ -144,13 +142,12 @@ class ClusterTimeline:
         The task can start when its data is ready and *processors*
         processors are simultaneously free; with the non-insertion policy
         this is the ``processors``-th smallest free time.  O(1) thanks to
-        the incrementally maintained sorted array.
+        the incrementally maintained sorted list.
         """
         self._check_processors(processors)
         if ready_time < 0:
             raise MappingError(f"ready_time must be non-negative, got {ready_time}")
-        kth_free = float(self._sorted_free[processors - 1])
-        return max(ready_time, kth_free)
+        return max(ready_time, self._sorted[processors - 1])
 
     def select_processors(self, processors: int) -> List[int]:
         """Indices of the *processors* processors that free up first.
@@ -160,19 +157,7 @@ class ClusterTimeline:
         matching the paper's deterministic earliest-available selection).
         """
         self._check_processors(processors)
-        # The p-th smallest free time bounds the selection: everything
-        # strictly below it is taken, ties at the boundary are filled in
-        # index order.  This avoids a full lexsort of all P processors.
-        kth = self._sorted_free[processors - 1]
-        below = np.flatnonzero(self._free_at < kth)
-        if below.size < processors:
-            equal = np.flatnonzero(self._free_at == kth)
-            chosen = np.concatenate([below, equal[: processors - below.size]])
-        else:  # pragma: no cover - below.size is at most processors - 1
-            chosen = below[:processors]
-        # order by (free time, index) like the original lexsort did
-        order = np.lexsort((chosen, self._free_at[chosen]))
-        return [int(i) for i in chosen[order]]
+        return [index for _, index in self._pairs[:processors]]
 
     def reserve(
         self, processors: int, ready_time: float, duration: float
@@ -190,23 +175,17 @@ class ClusterTimeline:
         indices = self.select_processors(processors)
         finish = start + duration
         self._txn_snapshot()
-        self._free_at[indices] = finish
-        # Incremental sorted-array update: the removed values are exactly
-        # the ``processors`` smallest, and the inserted value is >= all of
-        # them, so one searchsorted over the remainder suffices.
-        remaining = self._sorted_free[processors:]
-        pos = int(np.searchsorted(remaining, finish, side="left"))
-        updated = np.empty_like(self._sorted_free)
-        updated[:pos] = remaining[:pos]
-        updated[pos : pos + processors] = finish
-        updated[pos + processors :] = remaining[pos:]
-        self._sorted_free = updated
-        cached = self._sorted_list
-        if cached is not None:
-            # same splice on the Python mirror: drop the p smallest,
-            # insert p copies of ``finish`` at the searchsorted position
-            del cached[:processors]
-            cached[pos:pos] = [finish] * processors
+        free_at, pairs, ordered = self._free_at, self._pairs, self._sorted
+        # The taken processors are exactly the first ``processors``
+        # entries of both sorted lists, and ``finish`` is >= all of
+        # them: drop them and insert the finish time once per processor.
+        del pairs[:processors]
+        for index in indices:
+            free_at[index] = finish
+            insort(pairs, (finish, index))
+        del ordered[:processors]
+        pos = bisect_left(ordered, finish)
+        ordered[pos:pos] = [finish] * processors
         return indices, start, finish
 
     def block(self, processors: Sequence[int], until: float) -> None:
@@ -220,8 +199,8 @@ class ClusterTimeline:
         given up too (the model keeps no holes), which can only delay
         repaired placements, never invalidate them.  Unlike
         :meth:`reserve` this touches arbitrary processors, so the sorted
-        free-time array is rebuilt with a full sort (blocking happens
-        once per repair pass, not per placement).
+        lists are rebuilt with a full sort (blocking happens once per
+        repair pass, not per placement).
         """
         if until < 0:
             raise MappingError(f"block bound must be non-negative, got {until}")
@@ -233,15 +212,17 @@ class ClusterTimeline:
                     f"{self.cluster.name!r} (0..{self.num_processors - 1})"
                 )
         self._txn_snapshot()
-        self._free_at[indices] = np.maximum(self._free_at[indices], until)
-        self._sorted_free = np.sort(self._free_at)
-        self._sorted_list = None
+        free_at = self._free_at
+        for index in indices:
+            free_at[index] = max(free_at[index], until)
+        self._pairs = sorted((free, index) for index, free in enumerate(free_at))
+        self._sorted = [free for free, _ in self._pairs]
 
     def utilisation(self, horizon: float) -> float:
         """Fraction of processor time booked up to *horizon* (diagnostics)."""
         if horizon <= 0:
             return 0.0
-        booked = float(np.clip(self._free_at, 0.0, horizon).sum())
+        booked = float(np.clip(self.free_times(), 0.0, horizon).sum())
         return booked / (horizon * self.num_processors)
 
 

@@ -18,6 +18,13 @@ The measured per-application makespans (from submission at t=0 to the
 completion of the application's last task) feed the slowdown, unfairness
 and relative-makespan metrics.
 
+The per-processor order comes from one sort of every task by its planned
+``(start, finish, application, topological index)``, dealt to the
+queues of its processors.  Each task then counts the processors still
+held by a task queued before it and lists the tasks queued right after
+it, so a start check and a processor release cost O(processors of the
+task) instead of a scan of per-processor frontiers.
+
 Fault injection
 ---------------
 When a :class:`~repro.faults.timeline.FaultTimeline` is passed, the
@@ -35,7 +42,7 @@ start.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.dag.graph import PTG
@@ -49,13 +56,22 @@ from repro.simulate.report import FailureRecord, SimulationReport, TaskRecord
 TaskKey = Tuple[str, int]
 
 
-@dataclass
+@dataclass(eq=False)
 class _TaskState:
-    """Mutable execution state of one scheduled task."""
+    """Mutable execution state of one scheduled task.
 
+    ``blockers`` counts the processors of the task still held by a task
+    queued before it; ``next_tasks`` are the tasks queued right after it
+    on its processors, in the order the processors were first seen.
+    """
+
+    key: TaskKey
     entry: ScheduledTask
     duration: float
     remaining_inputs: int
+    release: float
+    blockers: int = 0
+    next_tasks: List["_TaskState"] = field(default_factory=list)
     started: bool = False
     finished: bool = False
     failed: bool = False
@@ -122,52 +138,46 @@ class ScheduleExecutor:
 
         # ---------------- state construction ----------------
         states: Dict[TaskKey, _TaskState] = {}
+        order_keys: Dict[TaskKey, Tuple[float, float, str, int]] = {}
         for ptg in ptgs:
+            release = releases.get(ptg.name, 0.0)
+            topo_index = {tid: i for i, tid in enumerate(ptg.topological_order())}
             for task in ptg.tasks():
-                if not schedule.has_entry(ptg.name, task.task_id):
+                key = (ptg.name, task.task_id)
+                if not schedule.has_entry(*key):
                     raise SimulationError(
                         f"schedule misses task {task.task_id} of {ptg.name!r}"
                     )
-                entry = schedule.entry(ptg.name, task.task_id)
+                entry = schedule.entry(*key)
                 cluster = self.platform.cluster(entry.cluster_name)
                 duration = task.execution_time(entry.num_processors, cluster.speed_flops)
-                states[(ptg.name, task.task_id)] = _TaskState(
-                    entry=entry,
-                    duration=duration,
-                    remaining_inputs=ptg.in_degree(task.task_id),
+                states[key] = _TaskState(
+                    key, entry, duration, ptg.in_degree(task.task_id), release
+                )
+                order_keys[key] = (
+                    entry.start, entry.finish, ptg.name, topo_index[task.task_id]
                 )
 
-        # per-processor execution queues, ordered by planned start
-        topo_index: Dict[TaskKey, int] = {}
-        for ptg in ptgs:
-            for i, tid in enumerate(ptg.topological_order()):
-                topo_index[(ptg.name, tid)] = i
-        proc_queues: Dict[Tuple[str, int], List[TaskKey]] = {}
-        for key, state in states.items():
+        # per-processor execution queues, ordered by planned start: one
+        # sort of every task, dealt to the queues of its processors (the
+        # queue table keeps the processors in first-seen order)
+        proc_queues: Dict[Tuple[str, int], List[_TaskState]] = {}
+        for state in states.values():
             for proc in state.entry.processors:
-                proc_queues.setdefault((state.entry.cluster_name, proc), []).append(key)
+                proc_queues.setdefault((state.entry.cluster_name, proc), [])
+        for key in sorted(states, key=order_keys.__getitem__):
+            state = states[key]
+            for proc in state.entry.processors:
+                proc_queues[(state.entry.cluster_name, proc)].append(state)
         for queue in proc_queues.values():
-            queue.sort(
-                key=lambda key: (
-                    states[key].entry.start,
-                    states[key].entry.finish,
-                    key[0],
-                    topo_index[key],
-                )
-            )
-        queue_position: Dict[TaskKey, Dict[Tuple[str, int], int]] = {
-            key: {} for key in states
-        }
-        for proc, queue in proc_queues.items():
-            for position, key in enumerate(queue):
-                queue_position[key][proc] = position
-        frontier: Dict[Tuple[str, int], int] = {proc: 0 for proc in proc_queues}
+            for before, after in zip(queue, queue[1:]):
+                before.next_tasks.append(after)
+                after.blockers += 1
 
         report = SimulationReport(platform_name=self.platform.name)
 
         # ---------------- event callbacks ----------------
-        def fail_task(key: TaskKey, reason: str) -> None:
-            state = states[key]
+        def fail_task(state: _TaskState, reason: str) -> None:
             if state.finished or state.failed:
                 return
             state.failed = True
@@ -175,105 +185,95 @@ class ScheduleExecutor:
                 state.finish_handle.cancel()
             report.add_failure(
                 FailureRecord(
-                    ptg_name=key[0],
-                    task_id=key[1],
+                    ptg_name=state.key[0],
+                    task_id=state.key[1],
                     cluster_name=state.entry.cluster_name,
                     time=engine.now,
                     reason=reason,
                 )
             )
 
-        def try_start(key: TaskKey) -> None:
-            state = states[key]
+        def try_start(state: _TaskState) -> None:
             if state.started or state.finished or state.failed:
                 return
             if state.remaining_inputs > 0:
                 return
-            release = releases.get(key[0], 0.0)
-            if engine.now < release:
+            now = engine.now
+            if now < state.release:
                 # submitted later: re-check at the release instant (the
                 # retry is idempotent, duplicates are harmless)
-                engine.schedule(release, try_start, key)
+                engine.schedule(state.release, try_start, state)
                 return
-            for proc, position in queue_position[key].items():
-                if frontier[proc] != position:
-                    return
+            if state.blockers:
+                return
             if faults is not None:
-                down = faults.down_processors(state.entry.cluster_name, engine.now)
+                down = faults.down_processors(state.entry.cluster_name, now)
                 if down and any(p in down for p in state.entry.processors):
-                    fail_task(key, "unavailable")
+                    fail_task(state, "unavailable")
                     return
             state.started = True
-            state.start_time = engine.now
+            state.start_time = now
             duration = state.duration
             if faults is not None:
-                duration *= faults.slowdown_factor(state.entry.cluster_name, engine.now)
-            state.effective_finish = engine.now + duration
-            state.finish_handle = engine.schedule_after(duration, finish_task, key)
+                duration *= faults.slowdown_factor(state.entry.cluster_name, now)
+            state.effective_finish = now + duration
+            state.finish_handle = engine.schedule_after(duration, finish_task, state)
 
-        def input_arrived(key: TaskKey) -> None:
-            state = states[key]
+        def input_arrived(state: _TaskState) -> None:
             if state.remaining_inputs <= 0:
                 raise SimulationError(
-                    f"task {key[1]} of {key[0]!r} received more inputs than predecessors"
+                    f"task {state.key[1]} of {state.key[0]!r} received more "
+                    "inputs than predecessors"
                 )
             state.remaining_inputs -= 1
-            try_start(key)
+            try_start(state)
 
-        def finish_task(key: TaskKey) -> None:
-            state = states[key]
+        def finish_task(state: _TaskState) -> None:
             if state.failed:
                 # stale completion event of a task killed mid-flight
                 return
             state.finished = True
             state.finish_time = engine.now
+            ptg_name, task_id = state.key
+            entry = state.entry
             report.add(
                 TaskRecord(
-                    ptg_name=key[0],
-                    task_id=key[1],
-                    cluster_name=state.entry.cluster_name,
-                    num_processors=state.entry.num_processors,
+                    ptg_name=ptg_name,
+                    task_id=task_id,
+                    cluster_name=entry.cluster_name,
+                    num_processors=entry.num_processors,
                     start=state.start_time,
                     finish=state.finish_time,
-                    planned_start=state.entry.start,
-                    planned_finish=state.entry.finish,
+                    planned_start=entry.start,
+                    planned_finish=entry.finish,
                 )
             )
-            # release the processors: advance each frontier and wake the
-            # next queued task
-            for proc, position in queue_position[key].items():
-                if frontier[proc] != position:
-                    raise SimulationError(
-                        f"processor {proc} finished task {key} out of order"
-                    )
-                frontier[proc] += 1
-                queue = proc_queues[proc]
-                if frontier[proc] < len(queue):
-                    try_start(queue[frontier[proc]])
+            # release the processors: wake the next queued task on each
+            for queued in state.next_tasks:
+                queued.blockers -= 1
+                try_start(queued)
             # propagate data to the successors
-            ptg = graphs[key[0]]
-            for succ in ptg.successors(key[1]):
-                succ_key = (key[0], succ)
-                data_bytes = ptg.edge_data(key[1], succ)
+            ptg = graphs[ptg_name]
+            for succ in ptg.successors(task_id):
+                succ_state = states[(ptg_name, succ)]
+                data_bytes = ptg.edge_data(task_id, succ)
                 if faults is not None:
                     # the factor in effect when the transfer starts
                     # scales its volume -- a deterministic rule
                     data_bytes *= faults.bandwidth_factor(engine.now)
-                dst_cluster = states[succ_key].entry.cluster_name
                 network.start_transfer(
                     data_bytes,
-                    state.entry.cluster_name,
-                    dst_cluster,
-                    lambda sk=succ_key: input_arrived(sk),
+                    entry.cluster_name,
+                    succ_state.entry.cluster_name,
+                    lambda queued=succ_state: input_arrived(queued),
                 )
 
         # ---------------- fault strikes ----------------
-        strike_order = sorted(states)
+        strike_order = [states[key] for key in sorted(states)]
 
         def strike(window) -> None:
             down = set(window.processors)
-            for key in strike_order:
-                state = states[key]
+            for state in strike_order:
                 if not state.started or state.finished or state.failed:
                     continue
                 if state.entry.cluster_name != window.cluster_name:
@@ -282,12 +282,12 @@ class ScheduleExecutor:
                     # completes exactly at the strike instant: survives
                     continue
                 if any(p in down for p in state.entry.processors):
-                    fail_task(key, "killed")
+                    fail_task(state, "killed")
 
         # ---------------- kick-off and run ----------------
-        for key, state in states.items():
+        for state in states.values():
             if state.remaining_inputs == 0:
-                engine.schedule(releases.get(key[0], 0.0), try_start, key)
+                engine.schedule(state.release, try_start, state)
         if faults is not None:
             for window in faults.windows:
                 engine.schedule(window.start, strike, window)
@@ -301,8 +301,7 @@ class ScheduleExecutor:
                     f"e.g. {unfinished[:5]}"
                 )
             for key in sorted(unfinished):
-                if not states[key].failed:
-                    fail_task(key, "blocked")
+                fail_task(states[key], "blocked")
         report.network_bytes = network.total_bytes_transferred
         report.network_flows = network.completed_flows
         return report

@@ -15,9 +15,25 @@ sharing, and the reason why clusters that share a switch, as in the
 Rennes and Lille sites, experience more contention than clusters with
 private switches).
 
-Rates are recomputed whenever a flow starts or completes; pending
-completion events are rescheduled accordingly.  Each flow additionally
-pays the path latency once, before data starts flowing.
+Rates are recomputed whenever a flow starts or completes.  Each flow
+additionally pays the path latency once, before data starts flowing.
+
+Bookkeeping
+-----------
+The network derives the latency and the resources of each (source,
+destination) cluster pair once, keeps the flow count and the equal share
+``capacity / count`` of every resource up to date as flows begin and
+complete, and holds **one** engine event: the wake-up for the earliest
+flow completion.  When a flow's rate changes it stores its completion
+time and takes the engine sequence number its own completion event
+would have got (:meth:`~repro.simulate.engine.SimulationEngine.
+reserve_sequence`); after each recompute the wake-up is re-armed at the
+smallest ``(time, sequence)``.  Completions therefore run at the same
+instants and in the same order, relative to every other event, as with
+one cancellable event per flow and rate change -- the formulation the
+golden oracle ``tests/oracles/simulate.py`` keeps -- with a fraction of
+its heap traffic.  Progress is still accounted for flow by flow at every
+event, so every float of a replay stays the same.
 
 :class:`EstimatorNetwork` is the contention-free counterpart: every
 transfer takes exactly the time the mappers'
@@ -30,7 +46,7 @@ start and finish times -- the differential invariant
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.exceptions import SimulationError
@@ -38,20 +54,25 @@ from repro.platform.multicluster import MultiClusterPlatform
 from repro.simulate.engine import EventHandle, SimulationEngine
 
 
-@dataclass
+@dataclass(eq=False)
 class Flow:
-    """One data transfer in progress."""
+    """One data transfer in progress.
+
+    ``resources`` index the network's resources.  ``eta`` and
+    ``sequence`` place the pending completion (``sequence`` is ``None``
+    when none is pending); ``wake`` is the engine event pushed for that
+    completion, if it ever was the earliest.
+    """
 
     flow_id: int
-    src_cluster: str
-    dst_cluster: str
     total_bytes: float
     remaining_bytes: float
-    resources: Tuple[str, ...]
+    resources: Tuple[int, ...]
     on_complete: Callable[[], None]
-    started_at: float = 0.0
     rate: float = 0.0
-    completion_event: Optional[EventHandle] = None
+    eta: float = 0.0
+    sequence: Optional[int] = None
+    wake: Optional[EventHandle] = None
 
 
 class FairShareNetwork:
@@ -68,14 +89,41 @@ class FairShareNetwork:
         self.total_bytes_transferred = 0.0
         # resource capacities: the aggregate NIC pool of every cluster
         # (each node has its own link to the switch) + every switch
-        # backplane
-        self._capacity: Dict[str, float] = {}
+        # backplane; a resource is an index into these lists
+        capacity: Dict[str, float] = {}
         for cluster in platform:
-            self._capacity[f"uplink:{cluster.name}"] = (
+            capacity[f"uplink:{cluster.name}"] = (
                 self.topology.cluster_access_bandwidth(cluster.num_processors)
             )
         for switch in self.topology.switches:
-            self._capacity[f"switch:{switch.name}"] = switch.bandwidth
+            capacity[f"switch:{switch.name}"] = switch.bandwidth
+        self._resource = {name: index for index, name in enumerate(capacity)}
+        self._capacity: List[float] = list(capacity.values())
+        self._usage = [0] * len(self._capacity)
+        self._share = [0.0] * len(self._capacity)
+        # (src, dst) -> (latency, resources), derived on first use
+        self._paths: Dict[Tuple[str, str], Tuple[float, Tuple[int, ...]]] = {}
+        self._armed: Optional[EventHandle] = None
+
+    def _path(self, src_cluster: str, dst_cluster: str) -> Tuple[float, Tuple[int, ...]]:
+        """Latency and resource indices of a transfer between two clusters."""
+        if src_cluster not in self.platform or dst_cluster not in self.platform:
+            raise SimulationError(
+                f"unknown cluster in transfer {src_cluster!r} -> {dst_cluster!r}"
+            )
+        if src_cluster == dst_cluster:
+            path: Tuple[float, Tuple[int, ...]] = (0.0, ())
+        else:
+            names = [f"uplink:{src_cluster}", f"uplink:{dst_cluster}"]
+            names += [
+                f"switch:{s.name}" for s in self.topology.route(src_cluster, dst_cluster)
+            ]
+            path = (
+                self.topology.path_latency(src_cluster, dst_cluster),
+                tuple(self._resource[name] for name in dict.fromkeys(names)),
+            )
+        self._paths[(src_cluster, dst_cluster)] = path
+        return path
 
     # ------------------------------------------------------------------ #
     # public API
@@ -94,38 +142,18 @@ class FairShareNetwork:
         """
         if data_bytes < 0:
             raise SimulationError(f"data_bytes must be non-negative, got {data_bytes}")
-        if src_cluster not in self.platform or dst_cluster not in self.platform:
-            raise SimulationError(
-                f"unknown cluster in transfer {src_cluster!r} -> {dst_cluster!r}"
-            )
-        latency = self.topology.path_latency(src_cluster, dst_cluster)
+        path = self._paths.get((src_cluster, dst_cluster))
+        latency, resources = path or self._path(src_cluster, dst_cluster)
         if data_bytes == 0 or src_cluster == dst_cluster:
-            self.engine.schedule_after(latency if src_cluster != dst_cluster else 0.0, on_complete)
+            self.engine.schedule_after(latency, on_complete)
             return -1
-
         flow_id = next(self._ids)
-
-        def _begin() -> None:
-            self._advance_progress()
-            resources = [f"uplink:{src_cluster}", f"uplink:{dst_cluster}"]
-            resources += [
-                f"switch:{s.name}" for s in self.topology.route(src_cluster, dst_cluster)
-            ]
-            flow = Flow(
-                flow_id=flow_id,
-                src_cluster=src_cluster,
-                dst_cluster=dst_cluster,
-                total_bytes=data_bytes,
-                remaining_bytes=data_bytes,
-                resources=tuple(dict.fromkeys(resources)),
-                on_complete=on_complete,
-                started_at=self.engine.now,
-            )
-            self._flows[flow_id] = flow
-            self._recompute_rates()
-
         # latency is paid before the fluid part of the transfer starts
-        self.engine.schedule_after(latency, _begin)
+        self.engine.schedule_after(
+            latency,
+            self._begin,
+            Flow(flow_id, data_bytes, data_bytes, resources, on_complete),
+        )
         return flow_id
 
     @property
@@ -143,61 +171,93 @@ class FairShareNetwork:
     # ------------------------------------------------------------------ #
     # internals
     # ------------------------------------------------------------------ #
+    def _count(self, flow: Flow, delta: int) -> None:
+        """Add *delta* to the flow count of the flow's resources."""
+        usage, share, capacity = self._usage, self._share, self._capacity
+        for resource in flow.resources:
+            count = usage[resource] = usage[resource] + delta
+            if count:
+                share[resource] = capacity[resource] / count
+
+    def _begin(self, flow: Flow) -> None:
+        self._advance_progress()
+        self._flows[flow.flow_id] = flow
+        self._count(flow, 1)
+        self._recompute_rates()
+
     def _advance_progress(self) -> None:
         """Account for the bytes transferred since the last rate change."""
         now = self.engine.now
         elapsed = now - self._last_update
         if elapsed > 0:
             for flow in self._flows.values():
-                flow.remaining_bytes = max(
-                    0.0, flow.remaining_bytes - flow.rate * elapsed
-                )
+                remaining = flow.remaining_bytes - flow.rate * elapsed
+                flow.remaining_bytes = remaining if remaining > 0.0 else 0.0
         self._last_update = now
 
     def _recompute_rates(self) -> None:
-        """Recompute flow rates and reschedule completion events.
+        """Recompute flow rates and re-arm the wake-up event.
 
-        Completion events are only rescheduled for flows whose rate
-        actually changed (flows that do not share any resource with the
-        arriving/leaving flow keep their event), which keeps the event
-        count linear in practice.
+        A flow keeps its pending completion while its rate is unchanged
+        (flows that do not share any resource with the arriving/leaving
+        flow); otherwise it takes a new completion time and a new
+        sequence number.  The wake-up then moves to the earliest
+        ``(time, sequence)``.
         """
-        usage: Dict[str, int] = {}
+        engine = self.engine
+        now = engine.now
+        reserve = engine.reserve_sequence
+        share = self._share.__getitem__
+        best: Optional[Flow] = None
+        best_eta = best_sequence = 0
         for flow in self._flows.values():
-            for resource in flow.resources:
-                usage[resource] = usage.get(resource, 0) + 1
-        for flow in self._flows.values():
-            new_rate = min(
-                self._capacity[resource] / usage[resource] for resource in flow.resources
-            )
+            new_rate = min(map(share, flow.resources))
             if new_rate <= 0:
                 raise SimulationError("flow rate dropped to zero")
-            unchanged = (
-                flow.completion_event is not None
-                and not flow.completion_event.cancelled
-                and abs(new_rate - flow.rate) <= 1e-9 * new_rate
-            )
-            if unchanged:
-                continue
-            flow.rate = new_rate
-            if flow.completion_event is not None:
-                flow.completion_event.cancel()
-            eta = flow.remaining_bytes / flow.rate
-            flow.completion_event = self.engine.schedule_after(
-                eta, self._complete_flow, flow.flow_id
-            )
-
-    def _complete_flow(self, flow_id: int) -> None:
-        self._advance_progress()
-        flow = self._flows.get(flow_id)
-        if flow is None:
+            sequence = flow.sequence
+            if sequence is None or not abs(new_rate - flow.rate) <= 1e-9 * new_rate:
+                flow.rate = new_rate
+                flow.eta = now + flow.remaining_bytes / new_rate
+                flow.sequence = sequence = reserve()
+                flow.wake = None
+            eta = flow.eta
+            if best is None or eta < best_eta or (
+                eta == best_eta and sequence < best_sequence
+            ):
+                best, best_eta, best_sequence = flow, eta, sequence
+        armed = self._armed
+        if best is not None and best.wake is not None and best.wake is armed:
             return
+        if armed is not None:
+            armed.cancelled = True
+        self._armed = None
+        if best is None:
+            return
+        wake = best.wake
+        if wake is None:
+            wake = best.wake = engine.schedule_reserved(
+                best.eta, best.sequence, self._complete_flow, best
+            )
+        else:
+            # its cancelled copy is still queued at the same (time,
+            # sequence): revive it rather than push a duplicate
+            wake.cancelled = False
+        self._armed = wake
+
+    def _complete_flow(self, flow: Flow) -> None:
+        self._advance_progress()
+        self._armed = None  # the wake-up that fired
         # numerical safety: the flow may have a few bytes left due to
         # floating point accumulation; treat anything below one byte as done.
-        if flow.remaining_bytes > 1.0:
+        # More than a byte left (time rounding at large instants): re-arm
+        # the fired event, unless the new eta would not advance the clock.
+        now = self.engine.now
+        if flow.remaining_bytes > 1.0 and now + flow.remaining_bytes / flow.rate > now:
+            flow.sequence = None
             self._recompute_rates()
             return
-        del self._flows[flow_id]
+        del self._flows[flow.flow_id]
+        self._count(flow, -1)
         self.completed_flows += 1
         self.total_bytes_transferred += flow.total_bytes
         self._recompute_rates()

@@ -11,7 +11,10 @@ bit-identical to it:
   sort-per-event ready list and the uncached timelines / transfers
   (mapping),
 * :mod:`tests.oracles.scheduler` -- the quadratic batch replay of the
-  online scheduler (streaming).
+  online scheduler (streaming),
+* :mod:`tests.oracles.simulate` -- the event engine, the fair-share
+  network with one completion event per flow and rate change, and the
+  schedule executor with per-queue sorts and frontier scans (replay).
 
 Do not "fix" or optimise these modules: their value is to stay exactly
 what the production code must reproduce.

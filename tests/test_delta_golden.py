@@ -357,7 +357,7 @@ class TestTransactionalAdmit:
         for cluster in session.platform.cluster_names():
             ours = session.engine.timelines.timeline(cluster)
             theirs = control.engine.timelines.timeline(cluster)
-            assert np.array_equal(ours._free_at, theirs._free_at)
+            assert np.array_equal(ours.free_times(), theirs.free_times())
 
     def test_failed_allocation_rolls_back_everything(self, medium_platform):
         prefix = [

@@ -149,9 +149,9 @@ class TestTimelineEdgeCases:
 
     def test_select_processors_tie_break_by_index(self, timeline):
         # processors 1 and 3 free at 2.0, processors 0 and 2 free at 5.0
-        timeline._free_at[:] = [5.0, 2.0, 5.0, 2.0]
-        timeline._sorted_free = timeline._free_at.copy()
-        timeline._sorted_free.sort()
+        timeline.block([0, 2], 5.0)
+        timeline.block([1, 3], 2.0)
+        assert list(timeline.free_times()) == [5.0, 2.0, 5.0, 2.0]
         assert timeline.select_processors(1) == [1]
         assert timeline.select_processors(2) == [1, 3]
         assert timeline.select_processors(3) == [1, 3, 0]
@@ -162,16 +162,44 @@ class TestTimelineEdgeCases:
 
         from tests.oracles.mapping import ReferenceClusterTimeline
 
+        # reserves interleaved with begin / commit / rollback; every other
+        # reservation lands on a coarse grid so free times tie and the
+        # processor index decides the selection
         rng = np.random.default_rng(11)
         fast = ClusterTimeline(Cluster("c", 16, 2.0))
         slow = ReferenceClusterTimeline(Cluster("c", 16, 2.0))
-        for _ in range(200):
-            procs = int(rng.integers(1, 17))
-            ready = float(rng.uniform(0.0, 50.0))
-            duration = float(rng.uniform(0.0, 10.0))
-            assert fast.earliest_start(procs, ready) == slow.earliest_start(procs, ready)
-            assert fast.select_processors(procs) == slow.select_processors(procs)
-            assert fast.reserve(procs, ready, duration) == slow.reserve(
-                procs, ready, duration
-            )
-        assert np.array_equal(fast.free_times(), slow.free_times())
+        in_transaction = False
+        rollbacks = 0
+        for step in range(600):
+            action = int(rng.integers(0, 8))
+            if action == 0 and not in_transaction:
+                fast.begin_transaction()
+                slow.begin_transaction()
+                in_transaction = True
+            elif action == 1 and in_transaction:
+                if rng.integers(0, 2):
+                    fast.rollback_transaction()
+                    slow.rollback_transaction()
+                    rollbacks += 1
+                else:
+                    fast.commit_transaction()
+                    slow.commit_transaction()
+                in_transaction = False
+            else:
+                procs = int(rng.integers(1, 17))
+                if step % 2:
+                    ready = float(rng.integers(0, 50))
+                    duration = float(rng.integers(0, 8)) / 2
+                else:
+                    ready = float(rng.uniform(0.0, 50.0))
+                    duration = float(rng.uniform(0.0, 10.0))
+                assert fast.earliest_start(procs, ready) == slow.earliest_start(
+                    procs, ready
+                )
+                assert fast.select_processors(procs) == slow.select_processors(procs)
+                assert fast.reserve(procs, ready, duration) == slow.reserve(
+                    procs, ready, duration
+                )
+            assert np.array_equal(fast.free_times(), slow.free_times())
+            assert fast.kth_free_list() == sorted(slow.free_times().tolist())
+        assert rollbacks > 5

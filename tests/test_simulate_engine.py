@@ -73,6 +73,43 @@ class TestCancellation:
         assert SimulationEngine().peek_time() is None
 
 
+class TestReservedSequence:
+    def test_ties_run_in_scheduling_order(self):
+        # an event pushed later with a number reserved earlier runs where
+        # it would have run had it been scheduled at reservation time
+        engine = SimulationEngine()
+        log = []
+        reserved = engine.reserve_sequence()
+        engine.schedule(1.0, log.append, "b")
+        engine.schedule(1.0, log.append, "c")
+        engine.schedule_reserved(1.0, reserved, log.append, "a")
+        engine.schedule(1.0, log.append, "d")
+        engine.run()
+        assert log == ["a", "b", "c", "d"]
+
+    def test_rearmed_copy_runs_exactly_once(self):
+        # a wake-up cancelled and re-armed at the same (time, number) is
+        # revived in place: one heap entry, one execution
+        engine = SimulationEngine()
+        log = []
+        wake = engine.schedule_reserved(
+            2.0, engine.reserve_sequence(), log.append, "wake"
+        )
+        engine.schedule(1.0, wake.cancel)
+        engine.schedule(1.5, lambda: setattr(wake, "cancelled", False))
+        engine.schedule(2.0, log.append, "after")
+        engine.run()
+        assert log == ["wake", "after"]
+        assert engine.processed_events == 4
+
+    def test_reserved_event_in_the_past_rejected(self):
+        engine = SimulationEngine()
+        engine.schedule(5.0, lambda: None)
+        engine.run()
+        with pytest.raises(SimulationError):
+            engine.schedule_reserved(1.0, engine.reserve_sequence(), lambda: None)
+
+
 class TestRunControl:
     def test_run_until(self):
         engine = SimulationEngine()
@@ -82,6 +119,16 @@ class TestRunControl:
         engine.run(until=5.0)
         assert log == [1]
         assert engine.now == 5.0
+
+    def test_run_until_keeps_the_next_event(self):
+        engine = SimulationEngine()
+        log = []
+        engine.schedule(10.0, log.append, 10)
+        engine.schedule(10.0, log.append, 11)
+        engine.run(until=5.0)
+        assert log == [] and engine.now == 5.0
+        engine.run()
+        assert log == [10, 11] and engine.now == 10.0
 
     def test_step_returns_false_when_empty(self):
         assert SimulationEngine().step() is False

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.allocation.scrap import ScrapMaxAllocator
+from repro.dag.graph import PTG
+from repro.dag.task import Task
 from repro.exceptions import SimulationError
 from repro.mapping.base import AllocatedPTG
 from repro.mapping.ready_list import ReadyListMapper
@@ -70,6 +72,27 @@ class TestExecution:
         )
         with pytest.raises(SimulationError):
             ScheduleExecutor(medium_platform).execute([diamond_ptg], schedule)
+
+    def test_tied_zero_length_tasks_queue_in_topological_order(self, medium_platform):
+        # two zero-length tasks of one application planned at the same
+        # instant on one processor: the queue follows the topological
+        # order (task 1 precedes task 0), or the successor would hold the
+        # processor its predecessor needs
+        ptg = PTG("ties")
+        for task_id in (0, 1):
+            ptg.add_task(Task(task_id, flops=0.0, alpha=0.0, data_elements=0.0))
+        ptg.add_edge(1, 0, 0.0)
+        cluster = medium_platform.cluster_names()[0]
+        schedule = Schedule(medium_platform.name)
+        for task_id in (0, 1):
+            schedule.add(
+                ScheduledTask(
+                    ptg_name="ties", task_id=task_id, cluster_name=cluster,
+                    processors=(0,), start=0.0, finish=0.0,
+                )
+            )
+        report = ScheduleExecutor(medium_platform).execute([ptg], schedule)
+        assert [record.task_id for record in report.records] == [1, 0]
 
     def test_empty_workload_rejected(self, medium_platform):
         with pytest.raises(SimulationError):
