@@ -13,7 +13,11 @@ into an orchestration layer:
   per-shard failure capture,
 * :mod:`repro.campaigns.store` -- an append-only JSONL result store with
   full :class:`~repro.experiments.runner.ExperimentResult` round-tripping
-  and archival of the generated workloads,
+  and archival of the generated workloads; each channel's log is its
+  only on-disk format,
+* :mod:`repro.campaigns.aggregate` -- :func:`summarize_store`, the paper
+  aggregates of a stored campaign, computed by
+  :class:`~repro.experiments.runner.CampaignResult` like an in-process one,
 * :mod:`repro.campaigns.cache` -- a keyed cache of single-application
   reference makespans shared across strategies, shards and resumed runs,
 * :mod:`repro.campaigns.orchestrator` -- :func:`run_campaign_parallel`,

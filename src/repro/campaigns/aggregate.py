@@ -1,153 +1,37 @@
-"""Memory-bounded streaming aggregation of stored campaign results.
+"""The paper aggregates of a stored campaign.
 
-:class:`~repro.experiments.runner.CampaignResult` aggregates a list of
-in-memory experiments; re-creating that list from a 50k-row store just
-to average three columns is exactly the full-load this module removes.
-:func:`summarize_store` streams the ``results`` channel -- columnar
-segments plus WAL tail when compacted, plain JSONL otherwise -- and
-folds each row into running ``(sum, count)`` accumulators per
-``(PTG count, strategy)`` cell, so peak memory is bounded by one
-segment plus the accumulator table, never by the store.
-
-The arithmetic mirrors the in-memory aggregation *operation for
-operation* (same linear sums, same division at the end, same
-per-experiment relative-makespan normalisation), so a summary computed
-from a store whose rows were appended in shard order is bit-identical
-to ``CampaignResult`` over the same experiments.  Duplicate keys keep
-the store's last-record-wins semantics via a key-only pre-scan: the
-winning occurrence of every key is determined before any payload is
-aggregated.
+:func:`summarize_store` loads the ``results`` channel and aggregates it
+with :class:`~repro.experiments.runner.CampaignResult`, the same code
+that aggregates an in-process campaign.  Floats round-trip exactly
+through the store, so a summary read back from a store written in shard
+order equals the in-process aggregates by construction.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict
 
 from repro.campaigns.store import CampaignStore
-from repro.exceptions import CampaignError
+from repro.experiments.runner import CampaignConfig, CampaignResult
 
 
-class StreamingAggregate:
-    """Running per-``(n_ptgs, strategy)`` sums over experiment payloads.
+def summarize_store(store) -> Dict:
+    """The aggregates of the campaign in *store* as one JSON-friendly document.
 
-    Feed raw ``results``-channel payload dicts to :meth:`add` (no
-    :class:`~repro.experiments.runner.ExperimentResult` is ever built)
-    and read the three paper aggregates off the accumulators at the
-    end.  Strategy order is first-seen, PTG counts are sorted --
-    matching ``CampaignResult.strategy_names`` / ``ptg_counts``.
-    """
-
-    def __init__(self) -> None:
-        """Create an empty aggregate."""
-        self.experiments = 0
-        self._strategies: Dict[str, None] = {}
-        self._cells: Dict[Tuple[int, str], Dict[str, float]] = {}
-        self._counts: Dict[int, int] = {}
-
-    def add(self, payload: Dict) -> None:
-        """Fold one experiment payload into the accumulators."""
-        try:
-            n_ptgs = int(payload["n_ptgs"])
-            outcomes = payload["outcomes"]
-        except (KeyError, TypeError):
-            raise CampaignError(
-                "experiment payload misses 'n_ptgs' or 'outcomes'"
-            ) from None
-        known = {
-            name for (count, name) in self._cells if count == n_ptgs
-        }
-        if known and known != set(outcomes):
-            raise CampaignError(
-                "every experiment must report the same strategies; "
-                f"expected {sorted(known)}, got {sorted(outcomes)}"
-            )
-        self.experiments += 1
-        self._counts[n_ptgs] = self._counts.get(n_ptgs, 0) + 1
-        best = min(
-            float(outcome["batch_makespan"]) for outcome in outcomes.values()
-        )
-        for name, outcome in outcomes.items():
-            self._strategies.setdefault(name, None)
-            cell = self._cells.setdefault(
-                (n_ptgs, name),
-                {"unfairness": 0.0, "relative": 0.0, "mean_makespan": 0.0},
-            )
-            cell["unfairness"] += float(outcome["unfairness"])
-            cell["relative"] += float(outcome["batch_makespan"]) / best
-            cell["mean_makespan"] += float(outcome["mean_application_makespan"])
-
-    # -- results ------------------------------------------------------- #
-    def strategy_names(self) -> List[str]:
-        """Strategies seen so far, in first-seen order."""
-        return list(self._strategies)
-
-    def ptg_counts(self) -> List[int]:
-        """PTG counts seen so far, sorted."""
-        return sorted(self._counts)
-
-    def _series(self, field: str) -> Dict[str, List[float]]:
-        counts = self.ptg_counts()
-        result: Dict[str, List[float]] = {}
-        for name in self.strategy_names():
-            series = []
-            for count in counts:
-                cell = self._cells.get((count, name))
-                if cell is None:
-                    raise CampaignError(
-                        f"strategy {name!r} has no experiment at {count} PTGs"
-                    )
-                series.append(cell[field] / self._counts[count])
-            result[name] = series
-        return result
-
-    def average_unfairness(self) -> Dict[str, List[float]]:
-        """Strategy -> unfairness averaged per PTG count (paper Fig. 3)."""
-        return self._series("unfairness")
-
-    def average_relative_makespan(self) -> Dict[str, List[float]]:
-        """Strategy -> average relative batch makespan per PTG count."""
-        return self._series("relative")
-
-    def average_mean_application_makespan(self) -> Dict[str, List[float]]:
-        """Strategy -> average of the mean per-application makespan."""
-        return self._series("mean_makespan")
-
-    def summary(self) -> Dict:
-        """All aggregates in one JSON-friendly document."""
-        return {
-            "experiments": self.experiments,
-            "ptg_counts": self.ptg_counts(),
-            "strategies": self.strategy_names(),
-            "average_unfairness": self.average_unfairness(),
-            "average_relative_makespan": self.average_relative_makespan(),
-            "average_mean_application_makespan":
-                self.average_mean_application_makespan(),
-        }
-
-
-def _winning_occurrences(store: CampaignStore, channel: str) -> Dict[str, int]:
-    """Index of the last occurrence of every key (key-only scan)."""
-    winners: Dict[str, int] = {}
-    for index, key in enumerate(store.iter_keys(channel)):
-        winners[key] = index
-    return winners
-
-
-def summarize_store(store, channel: str = "results") -> Dict:
-    """Aggregate a stored campaign without materialising it.
-
-    *store* is a :class:`CampaignStore` or its root path.  Rows stream
-    from the columnar segments (plus WAL tail) when the channel has
-    been compacted, from the JSONL otherwise; either source yields
-    bit-identical payloads, so the summary does not depend on whether
-    (or when) ``repro store compact`` ran.
+    *store* is a :class:`CampaignStore` or its root path.  Experiments
+    are taken in the order their keys first appear in the log, each
+    with its last record (the store's last-record-wins rule).
     """
     store = store if isinstance(store, CampaignStore) else CampaignStore(store)
-    winners = _winning_occurrences(store, channel)
-    aggregate = StreamingAggregate()
-    view = store._column_view(channel)
-    rows = view.iter_rows() if view is not None else store.iter_payloads(channel)
-    for index, (key, payload) in enumerate(rows):
-        if winners.get(key) == index:
-            aggregate.add(payload)
-    return aggregate.summary()
+    experiments = list(store.results_by_key().values())
+    # the aggregates never read the config, so a default one stands in
+    result = CampaignResult(config=CampaignConfig(), experiments=experiments)
+    return {
+        "experiments": len(experiments),
+        "ptg_counts": result.ptg_counts(),
+        "strategies": result.strategy_names(),
+        "average_unfairness": result.average_unfairness(),
+        "average_relative_makespan": result.average_relative_makespan(),
+        "average_mean_application_makespan":
+            result.average_mean_application_makespan(),
+    }

@@ -18,6 +18,12 @@ most the shard that was being written.  A truncated trailing line (the
 signature of a crash mid-write) is ignored on read and simply re-executed
 on resume.
 
+Each channel's log is the store's only format: every read streams it
+from the start, and nothing else is consulted.  The column-segment
+directory that older versions' ``repro store compact`` wrote is ignored:
+compaction never truncated the log, so the log alone still holds every
+record.
+
 The records serialise :class:`~repro.experiments.runner.ExperimentResult`
 (including every :class:`~repro.experiments.runner.StrategyOutcome`) in
 full, so a :class:`~repro.experiments.runner.CampaignResult` re-assembled
@@ -31,7 +37,6 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
@@ -120,36 +125,19 @@ def experiment_result_from_dict(payload: Dict) -> ExperimentResult:
         )
     except KeyError as exc:
         raise CampaignError(f"experiment record misses field {exc}") from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise CampaignError(f"malformed experiment record: {exc}") from None
 
 
 # ---------------------------------------------------------------------- #
 # the store
 # ---------------------------------------------------------------------- #
-@dataclass
-class _ChannelTail:
-    """Read-side tail cache of one channel.
-
-    ``end_offset`` is the byte position just past the last fully
-    consumed (newline-terminated) line, ``lineno`` the number of lines
-    consumed up to it, and ``records`` the parsed records so far.  A
-    repeated :meth:`CampaignStore.iter_payloads` replays the cached
-    records and resumes *tailing* from ``end_offset`` instead of
-    re-reading (and re-decoding) the whole file -- the win that makes
-    per-shard resume checks O(new records) instead of O(store).
-    """
-
-    end_offset: int = 0
-    lineno: int = 0
-    records: List[Tuple[str, Dict]] = field(default_factory=list)
-
-
 class CampaignStore:
     """Directory-backed, append-only store of per-shard experiment results."""
 
     def __init__(self, root) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self._tails: Dict[str, _ChannelTail] = {}
 
     # -- paths --------------------------------------------------------- #
     @property
@@ -229,41 +217,23 @@ class CampaignStore:
         Unparsable lines are skipped: they are truncated records left by
         interrupted writes (possibly newline-terminated by a later
         append), and the orchestrator re-executes any shard whose key is
-        missing, so the store self-heals.  A *parsable* record with an
-        unsupported format version still raises -- that is a versioning
-        problem, not a crash artefact.
+        missing, so the store self-heals.  A *parsable* line that is not
+        a keyed record, or has an unsupported format version, still
+        raises :class:`CampaignError` naming the line -- that is a
+        damaged or foreign file, not a crash artefact.
 
-        Reads are streamed, never loaded whole, and each store instance
-        keeps a per-channel tail cache (:class:`_ChannelTail`): a second
-        iteration replays the already-parsed records and resumes from
-        the cached byte offset, so the per-shard existence checks of a
-        resuming campaign only ever decode *new* lines.  A line without
-        a trailing newline is a write still in flight (or a crash
-        artefact the next append repairs) and is left unconsumed.
+        Every call streams the file from its first byte, so a reader
+        always sees the channel as it is on disk now.  A line without a
+        trailing newline is a write still in flight (or a crash artefact
+        the next append repairs) and is left unread.
         """
         path = self.channel_path(channel)
         if not path.exists():
-            self._tails.pop(channel, None)
             return
-        tail = self._tails.get(channel)
-        cached: List[Tuple[str, Dict]] = []
-        offset = 0
-        lineno = 0
-        if tail is not None and tail.end_offset <= path.stat().st_size:
-            cached = tail.records
-            offset = tail.end_offset
-            lineno = tail.lineno
-        for item in cached:
-            yield item
-        fresh: List[Tuple[str, Dict]] = []
         with open(path, "rb") as handle:
-            handle.seek(offset)
-            while True:
-                raw = handle.readline()
+            for lineno, raw in enumerate(handle, start=1):
                 if not raw.endswith(b"\n"):
                     break
-                offset += len(raw)
-                lineno += 1
                 line = raw.decode("utf-8", errors="replace").strip()
                 if not line:
                     continue
@@ -271,17 +241,20 @@ class CampaignStore:
                     record = json.loads(line)
                 except json.JSONDecodeError:
                     continue  # interrupted write: the shard re-runs
+                if not isinstance(record, dict):
+                    raise CampaignError(f"{path}:{lineno}: record is not a JSON object")
                 if record.get("format_version") not in SUPPORTED_FORMAT_VERSIONS:
                     raise CampaignError(
                         f"{path}:{lineno}: unsupported format "
                         f"version {record.get('format_version')!r}"
                     )
-                item = (str(record["key"]), self._record_payload(record))
-                fresh.append(item)
-                yield item
-        self._tails[channel] = _ChannelTail(
-            end_offset=offset, lineno=lineno, records=cached + fresh
-        )
+                if "key" not in record or (
+                    "payload" not in record and "result" not in record
+                ):
+                    raise CampaignError(
+                        f"{path}:{lineno}: record misses its key or payload"
+                    )
+                yield str(record["key"]), self._record_payload(record)
 
     @staticmethod
     def _record_payload(record: Dict) -> Dict:
@@ -298,31 +271,8 @@ class CampaignStore:
         """All payloads of one channel, keyed by record key (last wins)."""
         return {key: payload for key, payload in self.iter_payloads(channel)}
 
-    def _column_view(self, channel: str):
-        """The compacted columnar view of *channel*, or ``None``.
-
-        Lazy import: :mod:`repro.campaigns.colstore` builds on this
-        module.  The view exists once ``repro store compact`` (or
-        :meth:`ColumnStore.compact`) has committed a state file.
-        """
-        from repro.campaigns.colstore import ColumnStore
-
-        view = ColumnStore(self, channel)
-        return view if view.state_path.exists() else None
-
     def iter_records(self) -> Iterator[Tuple[str, ExperimentResult]]:
-        """Yield ``(shard key, batch result)`` pairs, in append order.
-
-        When the ``results`` channel has been compacted, records stream
-        from the columnar segments (plus the WAL tail) with memory
-        bounded by one segment; otherwise they stream straight from the
-        JSONL.  Either way the rebuilt results are bit-identical.
-        """
-        view = self._column_view("results")
-        if view is not None:
-            for key, payload in view.iter_rows():
-                yield key, experiment_result_from_dict(payload)
-            return
+        """Yield ``(shard key, batch result)`` pairs, in append order."""
         for key, payload in self.iter_payloads("results"):
             yield key, experiment_result_from_dict(payload)
 
@@ -330,25 +280,13 @@ class CampaignStore:
         """All persisted results, keyed by shard key (last record wins)."""
         return {key: result for key, result in self.iter_records()}
 
-    def iter_keys(self, channel: str = "results") -> Iterator[str]:
-        """Yield the record keys of one channel without building results.
-
-        This is the resume fast path: no
-        :class:`~repro.experiments.runner.ExperimentResult` (or any
-        other domain object) is ever constructed, and a compacted
-        channel answers straight from its segment footers.
-        """
-        view = self._column_view(channel)
-        if view is not None:
-            for key in view.iter_keys():
-                yield key
-            return
-        for key, _ in self.iter_payloads(channel):
-            yield key
-
     def completed_keys(self) -> Set[str]:
-        """Keys of the shards already present in the store (key-only scan)."""
-        return set(self.iter_keys("results"))
+        """Keys of the shards already present in the store.
+
+        This is what a resume reads: one scan of the ``results`` log
+        that builds no :class:`~repro.experiments.runner.ExperimentResult`.
+        """
+        return {key for key, _ in self.iter_payloads("results")}
 
     def __contains__(self, key: str) -> bool:
         return key in self.completed_keys()

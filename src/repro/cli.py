@@ -171,8 +171,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 
     if args.resume and not args.store:
         raise ConfigurationError("--resume requires --store")
-    if getattr(args, "compact", False) and not args.store:
-        raise ConfigurationError("--compact requires --store")
     retry = None
     if getattr(args, "retries", 1) > 1:
         retry = RetryPolicy(attempts=args.retries)
@@ -201,14 +199,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         f"{stats.executed_shards} executed; own-makespan cache hit rate "
         f"{100.0 * stats.cache_hit_rate:.1f}%"
     )
-    if getattr(args, "compact", False):
-        from repro.campaigns.colstore import ColumnStore
-
-        report = ColumnStore(args.store).compact()
-        print(
-            f"compacted {report['rows_compacted']} record(s) into "
-            f"{report['segments_written']} segment(s)"
-        )
     if stats.quarantined:
         print(
             f"\nquarantined {len(stats.quarantined)} shard(s) "
@@ -539,15 +529,23 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_validate(args: argparse.Namespace) -> int:
+def _existing_store(path: str):
+    """The store at *path*, refusing a missing directory instead of creating it."""
     from repro.campaigns.store import CampaignStore
+
+    if not os.path.isdir(path):
+        raise ConfigurationError(f"store directory {path} does not exist")
+    return CampaignStore(path)
+
+
+def _cmd_validate(args: argparse.Namespace) -> int:
     from repro.scenarios.registry import PLATFORMS
     from repro.scenarios.spec import ScenarioSpec
     from repro.streaming.run import STREAM_CHANNEL, StreamScenarioResult
     from repro.streaming.spec import generate_arrivals
     from repro.validate import validate_experiment_metrics, validate_schedule
 
-    store = CampaignStore(args.store)
+    store = _existing_store(args.store)
     total = 0
     failed = 0
     lines: List[str] = []
@@ -624,38 +622,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _cmd_store(args: argparse.Namespace) -> int:
     from repro.campaigns.aggregate import summarize_store
-    from repro.campaigns.colstore import DEFAULT_BATCH_SIZE, ColumnStore
 
-    if not os.path.isdir(args.store):
-        raise ConfigurationError(
-            f"store directory {args.store} does not exist"
-        )
-    view = ColumnStore(args.store, channel=args.channel)
-    if args.action == "compact":
-        batch = args.batch_size if args.batch_size else DEFAULT_BATCH_SIZE
-        report = view.compact(batch_size=batch)
-        if args.format == "json":
-            print(json.dumps(report, indent=2, sort_keys=True))
-        else:
-            print(
-                f"compacted {report['rows_compacted']} record(s) into "
-                f"{report['segments_written']} new segment(s); write-ahead "
-                f"log settled up to byte {report['wal_offset']}"
-            )
-        return 0
-    if args.action == "stat":
-        stat = view.stat()
-        if args.format == "json":
-            print(json.dumps(stat, indent=2, sort_keys=True))
-        else:
-            print(f"channel:            {stat['channel']}")
-            print(f"segments:           {stat['segments']} "
-                  f"({stat['segment_rows']} row(s), {stat['segment_bytes']} bytes)")
-            print(f"write-ahead log:    {stat['wal_bytes']} bytes "
-                  f"({stat['wal_compacted_bytes']} compacted, "
-                  f"{stat['wal_pending_records']} pending record(s))")
-        return 0
-    summary = summarize_store(view.store, channel=args.channel)
+    summary = summarize_store(_existing_store(args.store))
     if args.format == "json":
         print(json.dumps(summary, indent=2, sort_keys=True))
         return 0
@@ -855,7 +823,6 @@ def _cmd_client(args: argparse.Namespace) -> int:
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
-    from repro.campaigns.store import CampaignStore
     from repro.obs.export import (
         TELEMETRY_CHANNEL,
         aggregate_spans,
@@ -865,7 +832,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     )
     from repro.obs.meters import Histogram
 
-    store = CampaignStore(args.store)
+    store = _existing_store(args.store)
     # last-wins per key: shard runs write one summary per key, and the
     # admission daemon's checkpoints are cumulative snapshots under one
     # key -- summing successive checkpoints would double-count them
@@ -1115,34 +1082,18 @@ def build_parser() -> argparse.ArgumentParser:
         help="execution engine for the shards (default: process-pool; "
              "see 'repro-ptg list executors')",
     )
-    camp.add_argument(
-        "--compact", action="store_true",
-        help="compact the store's results into columnar segments after the run "
-             "(requires --store)",
-    )
     _add_scale_arguments(camp)
     _add_parallel_arguments(camp)
 
     store_cmd = sub.add_parser(
         "store",
-        help="inspect or compact a campaign result store",
+        help="summarize a campaign result store",
     )
     store_cmd.add_argument(
-        "action", choices=["compact", "stat", "summarize"],
-        help="compact: fold the JSONL write-ahead log into columnar segments; "
-             "stat: report segment/WAL sizes; summarize: stream the paper "
-             "aggregates out of the store",
+        "action", choices=["summarize"],
+        help="summarize: print the paper aggregates of the stored campaign",
     )
     store_cmd.add_argument("store", metavar="DIR", help="store directory")
-    store_cmd.add_argument(
-        "--channel", default="results",
-        help="record channel to operate on (default: results)",
-    )
-    store_cmd.add_argument(
-        "--batch-size", type=int, default=None, metavar="N",
-        help="rows per columnar segment when compacting "
-             "(default: 1000; bounds compaction memory)",
-    )
     store_cmd.add_argument(
         "--format", default="text", choices=["text", "json"],
         help="output format",

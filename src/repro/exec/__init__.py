@@ -4,20 +4,20 @@
 :func:`~repro.campaigns.orchestrator.orchestrate` loop hands its pending
 shards to an :class:`~repro.exec.base.Executor` and consumes the
 resulting :class:`~repro.campaigns.pool.ShardOutcome` stream without
-caring how (or where) the shards actually ran.  Three executors ship
+caring how (or where) the shards actually ran.  Two executors ship
 built in, name-addressable through the
 :data:`~repro.scenarios.registry.EXECUTORS` registry:
 
-* ``serial`` (:mod:`repro.exec.serial`) -- every shard inline, the
-  reference implementation;
 * ``process-pool`` (:mod:`repro.exec.procpool`) -- the original
-  :mod:`multiprocessing` fan-out, still the default;
+  :mod:`multiprocessing` fan-out, the default; ``jobs=1`` runs every
+  shard inline, and the registry name ``serial`` is an alias that
+  builds exactly that;
 * ``local-cluster`` (:mod:`repro.exec.cluster`) -- N independent worker
   *processes* over a spool directory with durable work-stealing shard
   leases (:mod:`repro.exec.leases`, :mod:`repro.exec.worker`), the
   local stand-in for an ssh/queue-backed cluster.
 
-All three run every shard through
+Both run every shard through
 :func:`repro.campaigns.pool.execute_shard`, so campaign aggregates are
 bit-identical whichever executor produced them.
 """
@@ -26,7 +26,6 @@ from repro.exec.base import DEFAULT_POLICY, ExecutionPolicy, Executor
 from repro.exec.cluster import LocalClusterExecutor
 from repro.exec.leases import Lease, LeaseBoard
 from repro.exec.procpool import ProcessPoolExecutor
-from repro.exec.serial import SerialExecutor
 from repro.scenarios.registry import EXECUTORS
 
 __all__ = [
@@ -38,5 +37,4 @@ __all__ = [
     "LeaseBoard",
     "LocalClusterExecutor",
     "ProcessPoolExecutor",
-    "SerialExecutor",
 ]

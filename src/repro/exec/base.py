@@ -10,8 +10,9 @@ through the :data:`~repro.scenarios.registry.EXECUTORS` registry, the
 same plugin axis pattern as allocators, mappers and platforms:
 
 ========================  =============================================
-``serial``                run every shard inline in the caller
-``process-pool``          :mod:`multiprocessing` fan-out (the default)
+``process-pool``          :mod:`multiprocessing` fan-out (the default);
+                          one job runs every shard inline
+``serial``                alias of ``process-pool`` with one job
 ``local-cluster``         N worker *processes* over a spool directory
                           with durable work-stealing shard leases
 ========================  =============================================
@@ -51,8 +52,10 @@ class ExecutionPolicy:
     ----------
     jobs:
         Parallelism: worker processes for ``process-pool`` and
-        ``local-cluster``; ignored by ``serial``.  ``None`` lets the
-        executor pick its own default.
+        ``local-cluster``.  ``None`` lets the executor pick its own
+        default (one job for the ``serial`` alias of ``process-pool``);
+        a set value wins, so ``serial`` with ``jobs=4`` runs a pool of
+        four.
     retry:
         Optional :class:`~repro.campaigns.pool.RetryPolicy`; every
         executor applies it *inside* the worker (capped exponential
@@ -114,7 +117,7 @@ DEFAULT_POLICY = ExecutionPolicy()
 class Executor(Protocol):
     """What every executor implements (structural protocol)."""
 
-    #: Registry name of the executor (``serial`` / ``process-pool`` / ...).
+    #: Registry name of the executor (``process-pool`` / ``local-cluster`` / ...).
     name: str
 
     def submit_shards(

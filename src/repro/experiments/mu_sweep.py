@@ -98,7 +98,7 @@ def run_mu_sweep(
     """
     # Imported lazily: repro.scenarios sits on the workload layer of
     # this package, so a top-level import here would be circular.
-    from repro.experiments.runner import run_experiment
+    from repro.experiments.runner import compute_own_makespans, run_experiment
     from repro.scenarios.registry import STRATEGIES
     from repro.scenarios.run import build_pipeline
     from repro.scenarios.spec import PipelineSpec
@@ -118,8 +118,8 @@ def run_mu_sweep(
     for count in ptg_counts:
         unfairness_series: List[float] = []
         makespan_series: List[float] = []
-        # workloads and reference makespans are shared across mu values so
-        # the sweep isolates the effect of mu
+        # workloads and reference makespans are computed once per cell and
+        # shared across mu values, so the sweep isolates the effect of mu
         scenario: List[Tuple] = []
         for index in range(workloads_per_point):
             spec = WorkloadSpec(
@@ -130,17 +130,18 @@ def run_mu_sweep(
             )
             ptgs = make_workload(spec)
             for platform in platforms:
-                scenario.append((spec, ptgs, platform))
+                own = compute_own_makespans(ptgs, platform)
+                scenario.append((spec, ptgs, platform, own))
         for mu in mu_values:
             pipeline = PipelineSpec(mu=float(mu))
             strategy = STRATEGIES.create(strategy_name, mu=pipeline.mu, family=family)
             allocator, mapper = build_pipeline(pipeline)
             unfairness_values: List[float] = []
             makespan_values: List[float] = []
-            for spec, ptgs, platform in scenario:
+            for spec, ptgs, platform, own in scenario:
                 experiment = run_experiment(
                     ptgs, platform, [strategy], workload_label=spec.label(),
-                    allocator=allocator, mapper=mapper,
+                    own_makespans=own, allocator=allocator, mapper=mapper,
                 )
                 outcome = experiment.outcomes[strategy.name]
                 unfairness_values.append(outcome.unfairness)

@@ -268,12 +268,22 @@ class CampaignResult:
     # aggregation
     # ------------------------------------------------------------------ #
     def strategy_names(self) -> List[str]:
-        """Strategies present in the results, in first-seen order."""
-        names: Dict[str, None] = {}
+        """Strategies of the results, in the first experiment's order.
+
+        Every experiment must report the same strategy set: a strategy
+        missing from some experiment has no average there, so a mixed
+        campaign is refused with :class:`ConfigurationError`.
+        """
+        if not self.experiments:
+            return []
+        names = set(self.experiments[0].outcomes)
         for exp in self.experiments:
-            for name in exp.outcomes:
-                names.setdefault(name, None)
-        return list(names)
+            if set(exp.outcomes) != names:
+                raise ConfigurationError(
+                    "every experiment must report the same strategies; "
+                    f"expected {sorted(names)}, got {sorted(exp.outcomes)}"
+                )
+        return list(self.experiments[0].outcomes)
 
     def ptg_counts(self) -> List[int]:
         """Numbers of concurrent PTGs present in the results, sorted."""

@@ -358,18 +358,21 @@ FAULTS.register(
 EXECUTORS = Registry("executor")
 
 
-def _serial_executor(**kwargs: Any) -> Any:
-    """Build a :class:`repro.exec.serial.SerialExecutor` (lazy import)."""
-    from repro.exec.serial import SerialExecutor
-
-    return SerialExecutor(**kwargs)
-
-
 def _process_pool_executor(**kwargs: Any) -> Any:
     """Build a :class:`repro.exec.procpool.ProcessPoolExecutor` (lazy import)."""
     from repro.exec.procpool import ProcessPoolExecutor
 
     return ProcessPoolExecutor(**kwargs)
+
+
+def _serial_executor(**kwargs: Any) -> Any:
+    """``serial`` is an alias: a process pool whose default is one job.
+
+    One job runs every shard inline, in submission order.  A policy
+    that sets ``jobs`` still wins, as for any process pool.
+    """
+    kwargs.setdefault("jobs", 1)
+    return _process_pool_executor(**kwargs)
 
 
 def _local_cluster_executor(**kwargs: Any) -> Any:
@@ -381,7 +384,7 @@ def _local_cluster_executor(**kwargs: Any) -> Any:
 
 EXECUTORS.register(
     "serial", _serial_executor,
-    description="run every shard inline in the calling process",
+    description="alias of process-pool with one job: every shard inline",
 )
 EXECUTORS.register(
     "process-pool", _process_pool_executor,

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.campaigns.aggregate import summarize_store
 from repro.campaigns.shards import make_shards
 from repro.campaigns.store import (
     CampaignStore,
@@ -13,8 +14,15 @@ from repro.campaigns.store import (
     strategy_outcome_to_dict,
 )
 from repro.constraints.registry import strategy
-from repro.exceptions import CampaignError
-from repro.experiments.runner import CampaignConfig, run_experiment
+from repro.exceptions import CampaignError, ConfigurationError
+from repro.exec import EXECUTORS
+from repro.experiments.runner import (
+    CampaignConfig,
+    CampaignResult,
+    ExperimentResult,
+    StrategyOutcome,
+    run_experiment,
+)
 from repro.experiments.workload import WorkloadSpec, make_workload
 from repro.platform.builder import heterogeneous_platform
 
@@ -179,21 +187,7 @@ class TestGenericChannels:
 
 
 class TestTailCache:
-    def test_repeated_iteration_does_not_rescan(self, tmp_path, monkeypatch):
-        """The second pass replays the cached records without re-parsing."""
-        store = CampaignStore(tmp_path / "store")
-        for i in range(5):
-            store.append_payload("stream", f"k{i}", {"i": i})
-        first = list(store.iter_payloads("stream"))
-        calls = []
-        real_loads = json.loads
-        monkeypatch.setattr(
-            "repro.campaigns.store.json.loads",
-            lambda raw: calls.append(raw) or real_loads(raw),
-        )
-        second = list(store.iter_payloads("stream"))
-        assert second == first
-        assert calls == []  # everything came from the tail cache
+    """A reread sees the channel as it is on disk now, whatever was read before."""
 
     def test_cache_is_invalidated_when_the_file_shrinks(self, tmp_path):
         store = CampaignStore(tmp_path / "store")
@@ -217,3 +211,254 @@ class TestTailCache:
             handle.write("}\n")  # a slow writer finishes the line
         assert [k for k, _ in store.iter_payloads("stream")] == ["a", "b"]
         assert dict(store.iter_payloads("stream"))["b"] == {"v": 2}
+
+    def test_replaced_channel_reads_the_new_file(self, tmp_path):
+        """A channel swapped for a longer file reads back as the new file."""
+        store = CampaignStore(tmp_path / "store")
+        for i in range(3):
+            store.append_payload("stream", f"k{i}", {"i": i})
+        assert [k for k, _ in store.iter_payloads("stream")] == ["k0", "k1", "k2"]
+        other = CampaignStore(tmp_path / "other")
+        for i in range(4):
+            other.append_payload("stream", f"z{i}", {"i": i})
+        other.channel_path("stream").replace(store.channel_path("stream"))
+        expected = ["z0", "z1", "z2", "z3"]
+        assert [k for k, _ in store.iter_payloads("stream")] == expected
+
+
+def mixed_payload(i):
+    """A payload with every JSON leaf type, floats nested in maps and lists."""
+    return {
+        "platform": f"site-{i % 3}",
+        "n_ptgs": 2,
+        "flags": [True, i, "tag", 0.5 * i, [1.0 / (i + 3)]],
+        "comment": None,
+        "own_makespans": {f"app{j}": 1.0 + i * 0.001 + j for j in range(3)},
+    }
+
+
+class TestLogReadBack:
+    """The JSONL log alone reads back every record exactly."""
+
+    def test_mixed_payloads_read_back_exactly(self, tmp_path):
+        store = CampaignStore(tmp_path)
+        payloads = {f"key{i:04d}": mixed_payload(i) for i in range(23)}
+        for key, payload in payloads.items():
+            store.append_payload("results", key, payload)
+        reread = CampaignStore(tmp_path).payloads_by_key("results")
+        assert reread == payloads
+        assert list(reread) == list(payloads)
+
+    def test_extreme_floats_read_back_bit_for_bit(self, tmp_path):
+        values = [5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+                  0.1 + 0.2, -0.0, 1.0 / 3.0]
+        store = CampaignStore(tmp_path)
+        store.append_payload("results", "k", {"values": values})
+        restored = store.payloads_by_key("results")["k"]["values"]
+        assert [v.hex() for v in restored] == [v.hex() for v in values]
+
+    def test_last_record_wins_at_the_first_position(self, tmp_path):
+        store = CampaignStore(tmp_path)
+        store.append_payload("results", "a", {"v": 1.0})
+        store.append_payload("results", "b", {"v": 2.0})
+        store.append_payload("results", "a", {"v": 3.0})
+        assert store.payloads_by_key("results") == {"a": {"v": 3.0}, "b": {"v": 2.0}}
+        assert list(store.payloads_by_key("results")) == ["a", "b"]
+        store.append_payload("results", "a", {"v": 4.0})
+        assert store.payloads_by_key("results")["a"] == {"v": 4.0}
+
+    def test_repaired_torn_line_stays_skipped(self, tmp_path):
+        store = CampaignStore(tmp_path)
+        for i in range(3):
+            store.append_payload("results", f"k{i}", {"i": i})
+        with open(store.results_path, "a", encoding="utf-8") as handle:
+            handle.write('{"format_version": 2, "key": "torn"')
+        assert store.completed_keys() == {"k0", "k1", "k2"}
+        store.append_payload("results", "after", {"i": 9})  # terminates the torn line
+        assert store.completed_keys() == {"k0", "k1", "k2", "after"}
+
+    def test_channels_are_separate_logs(self, tmp_path):
+        store = CampaignStore(tmp_path)
+        store.append_payload("results", "r", {"v": 1})
+        store.append_payload("stream", "s", {"v": 2})
+        assert store.payloads_by_key("results") == {"r": {"v": 1}}
+        assert store.payloads_by_key("stream") == {"s": {"v": 2}}
+        assert store.completed_keys() == {"r"}
+        assert list(store.iter_payloads("telemetry")) == []
+
+    def test_other_files_in_the_root_are_left_unread(self, tmp_path, result):
+        """Directories an older version wrote beside the log change no read."""
+        store = CampaignStore(tmp_path)
+        store.append("a", result)
+        store.append("b", result)
+        records = store.results_by_key()
+        summary = summarize_store(store)
+        leftover = tmp_path / "segments-of-an-older-version" / "results"
+        (leftover / "segments" / "seg-000000").mkdir(parents=True)
+        (leftover / "state.json").write_text(
+            '{"format_version": 99, "segments": ["seg-000000"]}', encoding="utf-8"
+        )
+        (leftover / "segments" / "seg-000000" / "footer.json").write_text(
+            '{"keys": ["z"]}', encoding="utf-8"
+        )
+        fresh = CampaignStore(tmp_path)
+        assert fresh.results_by_key() == records
+        assert fresh.completed_keys() == {"a", "b"}
+        assert summarize_store(fresh) == summary
+
+
+class TestMalformedRecords:
+    """A parsable line that is not a keyed record is an error naming the line."""
+
+    @pytest.mark.parametrize("line", [
+        "[2]",
+        '"text"',
+        "null",
+        '{"format_version": 2, "payload": {}}',
+        '{"format_version": 2, "key": "k"}',
+    ], ids=["list", "string", "null", "no-key", "no-payload"])
+    def test_malformed_line_is_a_campaign_error(self, tmp_path, line):
+        store = CampaignStore(tmp_path)
+        store.append_payload("results", "good", {"v": 1})
+        with open(store.results_path, "a", encoding="utf-8") as handle:
+            handle.write(line + "\n")
+        with pytest.raises(CampaignError, match=r"results\.jsonl:2: "):
+            store.completed_keys()
+
+    @pytest.mark.parametrize("payload", [
+        [1],
+        {"platform": "p", "workload": "w", "n_ptgs": 2, "own_makespans": {},
+         "outcomes": [1]},
+        {"platform": "p", "workload": "w", "n_ptgs": "many", "own_makespans": {},
+         "outcomes": {}},
+    ], ids=["list-payload", "list-outcomes", "non-integer-count"])
+    def test_malformed_payload_is_a_campaign_error(self, tmp_path, payload):
+        store = CampaignStore(tmp_path)
+        store.append_payload("results", "k", payload)
+        with pytest.raises(CampaignError, match="malformed experiment record"):
+            store.results_by_key()
+
+
+class TestChannelNames:
+    @pytest.mark.parametrize("channel", ["", "a/b", "a\\b", "a.b"])
+    def test_path_like_channel_names_are_refused(self, tmp_path, channel):
+        store = CampaignStore(tmp_path)
+        with pytest.raises(CampaignError, match="invalid store channel"):
+            store.append_payload(channel, "k", {})
+        assert list(tmp_path.iterdir()) == []
+
+
+def synthetic_result(scale=1.0, n_ptgs=2, strategies=("S", "ES")):
+    """A hand-made experiment result; *scale* tells two records apart."""
+    outcomes = {
+        name: StrategyOutcome(
+            strategy=name,
+            betas={"app": 0.5},
+            makespans={"app": 10.0 * scale + i},
+            slowdowns={"app": 1.0 + 0.1 * scale},
+            unfairness=0.01 * scale + i,
+            batch_makespan=100.0 * scale + i,
+            mean_application_makespan=50.0 * scale + i,
+        )
+        for i, name in enumerate(strategies)
+    }
+    return ExperimentResult(
+        platform="site", workload=f"w{scale}", n_ptgs=n_ptgs,
+        own_makespans={"app": 10.0}, outcomes=outcomes,
+    )
+
+
+class TestSummarizeStore:
+    def test_matches_campaign_result_bit_for_bit(self, tmp_path):
+        config = CampaignConfig(ptg_counts=(2, 4), workloads_per_point=2,
+                                base_seed=3, max_tasks=14)
+        shards = make_shards(config)
+        store = CampaignStore(tmp_path)
+        experiments = []
+        for outcome in EXECUTORS.create("serial").submit_shards(shards):
+            store.append(outcome.key, outcome.result)
+            experiments.append(outcome.result)
+        reference = CampaignResult(config=config, experiments=experiments)
+        summary = summarize_store(CampaignStore(tmp_path))
+        assert summary["experiments"] == len(shards)
+        assert summary["ptg_counts"] == reference.ptg_counts()
+        # records are written with sorted keys, so the stored order is sorted
+        assert summary["strategies"] == sorted(reference.strategy_names())
+        assert summary["average_unfairness"] == reference.average_unfairness()
+        assert summary["average_relative_makespan"] == (
+            reference.average_relative_makespan()
+        )
+        assert summary["average_mean_application_makespan"] == (
+            reference.average_mean_application_makespan()
+        )
+        assert summarize_store(tmp_path) == summary  # a path works too
+
+    def test_duplicate_keys_keep_last_record_wins(self, tmp_path):
+        store = CampaignStore(tmp_path / "store")
+        first = synthetic_result(scale=1.0)
+        second = synthetic_result(scale=2.0)
+        store.append("k", first)
+        store.append("k", second)
+        summary = summarize_store(store)
+        assert summary["experiments"] == 1
+        assert summary["average_unfairness"]["S"] == [second.outcomes["S"].unfairness]
+        only = CampaignStore(tmp_path / "only")
+        only.append("k", second)
+        assert summary == summarize_store(only)
+
+    def test_mismatched_strategy_sets_are_refused(self, tmp_path):
+        store = CampaignStore(tmp_path)
+        store.append("a", synthetic_result(scale=1.0))
+        store.append("b", synthetic_result(scale=2.0, strategies=("S", "ES", "PS")))
+        with pytest.raises(ConfigurationError, match="same strategies"):
+            summarize_store(store)
+
+    def test_malformed_payload_is_refused(self, tmp_path):
+        store = CampaignStore(tmp_path)
+        store.append_payload("results", "k", {"no": "fields"})
+        with pytest.raises(CampaignError, match="misses"):
+            summarize_store(store)
+
+    def test_document_keys(self, tmp_path):
+        store = CampaignStore(tmp_path)
+        store.append("k", synthetic_result())
+        assert sorted(summarize_store(store)) == [
+            "average_mean_application_makespan",
+            "average_relative_makespan",
+            "average_unfairness",
+            "experiments",
+            "ptg_counts",
+            "strategies",
+        ]
+
+    def test_empty_store_has_empty_series(self, tmp_path):
+        assert summarize_store(tmp_path) == {
+            "experiments": 0,
+            "ptg_counts": [],
+            "strategies": [],
+            "average_unfairness": {},
+            "average_relative_makespan": {},
+            "average_mean_application_makespan": {},
+        }
+
+    def test_version_one_records_summarize_like_version_two(self, tmp_path):
+        current = CampaignStore(tmp_path / "v2")
+        lines = []
+        for i, scale in enumerate((1.0, 2.0, 3.0)):
+            payload = experiment_result_to_dict(synthetic_result(scale=scale))
+            current.append_payload("results", f"k{i}", payload)
+            lines.append(json.dumps(
+                {"format_version": 1, "key": f"k{i}", "result": payload},
+                sort_keys=True,
+            ))
+        old = CampaignStore(tmp_path / "v1")
+        old.results_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert summarize_store(old) == summarize_store(current)
+
+    def test_unsupported_version_is_refused(self, tmp_path):
+        store = CampaignStore(tmp_path)
+        store.append("k", synthetic_result())
+        with open(store.results_path, "a", encoding="utf-8") as handle:
+            handle.write('{"format_version": 99, "key": "z", "payload": {}}\n')
+        with pytest.raises(CampaignError, match="unsupported format version 99"):
+            summarize_store(store)

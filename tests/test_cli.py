@@ -389,8 +389,18 @@ class TestValidateCommand:
         assert "FAIL" in capsys.readouterr().out
 
     def test_empty_store_is_an_error(self, capsys, tmp_path):
+        (tmp_path / "empty").mkdir()
         assert main(["validate", str(tmp_path / "empty")]) == 2
         assert "no validatable records" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["validate"], ["metrics"], ["store", "summarize"],
+    ], ids=["validate", "metrics", "store-summarize"])
+    def test_missing_store_is_refused_and_not_created(self, capsys, tmp_path, command):
+        missing = tmp_path / "nope"
+        assert main(command + [str(missing)]) == 2
+        assert "does not exist" in capsys.readouterr().err
+        assert not missing.exists()
 
 
 class TestServeAndClientCommands:
@@ -443,23 +453,27 @@ class TestExecutorFlags:
         with pytest.raises(SystemExit):
             main(self.CAMPAIGN_ARGS + ["--executor", "slurm"])
 
-    def test_campaign_compact_flag_compacts_the_store(self, capsys, tmp_path):
-        store = str(tmp_path / "store")
-        args = self.CAMPAIGN_ARGS + [
-            "--executor", "serial", "--store", store, "--compact",
-        ]
-        assert main(args) == 0
-        out = capsys.readouterr().out
-        assert "compacted 1 record(s)" in out
-        from repro.campaigns.colstore import ColumnStore
-        from repro.campaigns.store import CampaignStore
+    @pytest.mark.parametrize("extra, pool_size", [([], 1), (["--jobs", "2"], 2)],
+                             ids=["no-jobs", "jobs-2"])
+    def test_serial_alias_runs_the_requested_pool(
+        self, capsys, monkeypatch, extra, pool_size
+    ):
+        """``--executor serial`` is one job unless ``--jobs`` asks for more."""
+        import repro.exec.procpool as procpool
 
-        assert ColumnStore(CampaignStore(store)).load_state()["segments"]
+        seen = []
+        real = procpool.run_shards
 
-    def test_compact_without_store_is_a_clean_error(self, capsys):
-        assert main(self.CAMPAIGN_ARGS + ["--compact"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "--store" in err
+        def recording(shards, jobs=None, **kwargs):
+            seen.append(jobs)
+            return real(shards, jobs=jobs, **kwargs)
+
+        monkeypatch.setattr(procpool, "run_shards", recording)
+        args = ["campaign", "--workloads", "2", "--ptg-counts", "2", "--platforms",
+                "lille", "--max-tasks", "8", "--seed", "1", "--quiet"]
+        assert main(args + ["--executor", "serial"] + extra) == 0
+        assert "shards: 2 total" in capsys.readouterr().out
+        assert seen == [pool_size]
 
 
 class TestStoreCommand:
@@ -471,32 +485,6 @@ class TestStoreCommand:
         capsys.readouterr()
         return store
 
-    def test_store_stat(self, capsys, tmp_path):
-        store = self._populated_store(tmp_path, capsys)
-        assert main(["store", "stat", store]) == 0
-        out = capsys.readouterr().out
-        assert "segments:" in out
-        assert "1 pending record(s)" in out
-
-    def test_store_compact_then_stat(self, capsys, tmp_path):
-        store = self._populated_store(tmp_path, capsys)
-        assert main(["store", "compact", store]) == 0
-        out = capsys.readouterr().out
-        assert "compacted 1 record(s) into 1 new segment(s)" in out
-        assert main(["store", "stat", store, "--format", "json"]) == 0
-        stat = json.loads(capsys.readouterr().out)
-        assert stat["segments"] == 1
-        assert stat["wal_pending_records"] == 0
-
-    def test_store_compact_round_trips_bit_identically(self, capsys, tmp_path):
-        from repro.campaigns.store import CampaignStore
-
-        store = self._populated_store(tmp_path, capsys)
-        before = CampaignStore(store).results_by_key()
-        assert main(["store", "compact", store]) == 0
-        capsys.readouterr()
-        assert CampaignStore(store).results_by_key() == before
-
     def test_store_summarize(self, capsys, tmp_path):
         store = self._populated_store(tmp_path, capsys)
         assert main(["store", "summarize", store]) == 0
@@ -504,17 +492,44 @@ class TestStoreCommand:
         assert "1 experiment(s)" in out
         assert "average_unfairness:" in out
 
-    def test_store_summarize_matches_after_compaction(self, capsys, tmp_path):
-        store = self._populated_store(tmp_path, capsys)
-        assert main(["store", "summarize", store, "--format", "json"]) == 0
-        before = json.loads(capsys.readouterr().out)
-        assert main(["store", "compact", store]) == 0
-        capsys.readouterr()
-        assert main(["store", "summarize", store, "--format", "json"]) == 0
-        assert json.loads(capsys.readouterr().out) == before
-
     def test_store_command_on_a_missing_store_is_a_clean_error(
         self, capsys, tmp_path
     ):
-        assert main(["store", "stat", str(tmp_path / "nope")]) == 2
+        assert main(["store", "summarize", str(tmp_path / "nope")]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_store_summarize_json_is_the_library_summary(self, capsys, tmp_path):
+        from repro.campaigns.aggregate import summarize_store
+
+        store = self._populated_store(tmp_path, capsys)
+        assert main(["store", "summarize", store, "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out) == summarize_store(store)
+
+    def test_mixed_strategy_store_is_a_clean_error(self, capsys, tmp_path):
+        import dataclasses
+
+        from repro.campaigns.store import CampaignStore
+
+        store = CampaignStore(self._populated_store(tmp_path, capsys))
+        (result,) = store.results_by_key().values()
+        fewer = dict(result.outcomes)
+        fewer.pop("S")
+        store.append("fewer", dataclasses.replace(result, outcomes=fewer))
+        assert main(["store", "summarize", str(store.root)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "same strategies" in err
+
+    def test_malformed_record_is_a_clean_error(self, capsys, tmp_path):
+        store = self._populated_store(tmp_path, capsys)
+        with open(f"{store}/results.jsonl", "a", encoding="utf-8") as handle:
+            handle.write("[2]\n")
+        assert main(["store", "summarize", store]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "results.jsonl:2" in err
+
+    @pytest.mark.parametrize("action", ["compact", "stat"])
+    def test_summarize_is_the_only_action(self, capsys, tmp_path, action):
+        store = self._populated_store(tmp_path, capsys)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["store", action, store])
+        assert excinfo.value.code == 2

@@ -16,7 +16,6 @@ from repro.exec import EXECUTORS
 from repro.exec.base import DEFAULT_POLICY, ExecutionPolicy, Executor
 from repro.exec.cluster import LocalClusterExecutor
 from repro.exec.procpool import ProcessPoolExecutor
-from repro.exec.serial import SerialExecutor
 from repro.experiments.runner import CampaignConfig
 from repro.obs import TelemetrySpec
 
@@ -37,7 +36,7 @@ def tiny_shards():
 
 @pytest.fixture(scope="module")
 def serial_outcomes(tiny_shards):
-    return {o.key: o for o in SerialExecutor().submit_shards(tiny_shards)}
+    return {o.key: o for o in EXECUTORS.create("serial").submit_shards(tiny_shards)}
 
 
 class TestRegistry:
@@ -45,7 +44,8 @@ class TestRegistry:
         assert EXECUTORS.names() == ["serial", "process-pool", "local-cluster"]
 
     def test_create_builds_instances(self):
-        assert isinstance(EXECUTORS.create("serial"), SerialExecutor)
+        serial = EXECUTORS.create("serial")
+        assert isinstance(serial, ProcessPoolExecutor) and serial.jobs == 1
         assert isinstance(EXECUTORS.create("process-pool"), ProcessPoolExecutor)
         assert isinstance(EXECUTORS.create("LOCAL-CLUSTER"), LocalClusterExecutor)
 
@@ -96,6 +96,54 @@ class TestProcessPoolEquivalence:
             tiny_shards[:1], policy=ExecutionPolicy(jobs=1)
         ))
         assert len(outcomes) == 1 and outcomes[0].ok
+
+
+class TestSerialAlias:
+    """``serial`` builds a process pool whose default is one inline job."""
+
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        import repro.exec.procpool as procpool
+
+        seen = []
+        real = procpool.run_shards
+
+        def recording(shards, jobs=None, **kwargs):
+            seen.append(jobs)
+            return real(shards, jobs=jobs, **kwargs)
+
+        monkeypatch.setattr(procpool, "run_shards", recording)
+        return seen
+
+    def test_runs_one_job_in_submission_order(self, tiny_shards, pool_sizes):
+        outcomes = list(EXECUTORS.create("serial").submit_shards(tiny_shards))
+        assert pool_sizes == [1]
+        assert [o.key for o in outcomes] == [s.key() for s in tiny_shards]
+
+    def test_policy_jobs_fan_the_alias_out(
+        self, tiny_shards, serial_outcomes, pool_sizes
+    ):
+        pooled = list(EXECUTORS.create("serial").submit_shards(
+            tiny_shards, policy=ExecutionPolicy(jobs=2)
+        ))
+        assert pool_sizes == [2]
+        for outcome in pooled:
+            assert outcome.ok
+            assert outcome.result == serial_outcomes[outcome.key].result
+
+    def test_later_shards_reuse_the_cache(self, tiny_shards, serial_outcomes):
+        from repro.campaigns.cache import OwnMakespanCache
+
+        alias = EXECUTORS.create("serial")
+        cache = OwnMakespanCache()
+        list(alias.submit_shards(tiny_shards, cache=cache))
+        assert cache.entries
+        misses = cache.misses
+        again = list(alias.submit_shards(tiny_shards, cache=cache))
+        assert cache.misses == misses and cache.hits > 0
+        assert [o.result for o in again] == [
+            serial_outcomes[s.key()].result for s in tiny_shards
+        ]
 
 
 class TestLocalClusterEquivalence:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.exceptions import ConfigurationError
+from repro.experiments import runner
 from repro.experiments.figures import FIGURE_FAMILIES, run_figure
 from repro.experiments.mu_sweep import run_mu_sweep
 from repro.experiments.reporting import (
@@ -10,7 +11,11 @@ from repro.experiments.reporting import (
     render_figure,
     render_mu_sweep,
 )
+from repro.experiments.workload import WorkloadSpec, make_workload
 from repro.platform.builder import heterogeneous_platform
+from repro.scenarios.registry import STRATEGIES
+from repro.scenarios.run import build_pipeline
+from repro.scenarios.spec import PipelineSpec
 
 
 @pytest.fixture(scope="module")
@@ -81,6 +86,48 @@ class TestMuSweep:
         assert 0.0 <= result.recommended_mu() <= 1.0
         text = render_mu_sweep(result)
         assert "Figure 2" in text
+
+    def test_references_are_computed_once_per_cell(self, tiny_platform, monkeypatch):
+        calls = []
+        real = runner.compute_own_makespans
+        monkeypatch.setattr(
+            runner, "compute_own_makespans",
+            lambda ptgs, platform: calls.append(platform.name) or real(ptgs, platform),
+        )
+        run_mu_sweep(
+            mu_values=(0.0, 0.7, 1.0), ptg_counts=(2,), workloads_per_point=2,
+            platforms=[tiny_platform], base_seed=4, max_tasks=8,
+        )
+        assert len(calls) == 2  # one per (workload, platform) cell, not per mu
+
+    def test_shared_references_keep_the_series(self, tiny_platform):
+        """Each mu's series equals per-mu experiments that recompute the references."""
+        mu_values = (0.0, 0.7)
+        result = run_mu_sweep(
+            mu_values=mu_values, ptg_counts=(2,), workloads_per_point=2,
+            platforms=[tiny_platform], base_seed=4, max_tasks=8,
+        )
+        workloads = [
+            make_workload(WorkloadSpec("random", n_ptgs=2, seed=4 + 2000 + index,
+                                       max_tasks=8))
+            for index in range(2)
+        ]
+        for position, mu in enumerate(mu_values):
+            pipeline = PipelineSpec(mu=mu)
+            wps = STRATEGIES.create("WPS-work", mu=pipeline.mu, family="random")
+            allocator, mapper = build_pipeline(pipeline)
+            outcomes = [
+                runner.run_experiment(
+                    ptgs, tiny_platform, [wps], allocator=allocator, mapper=mapper,
+                ).outcomes[wps.name]
+                for ptgs in workloads
+            ]
+            assert result.unfairness[2][position] == (
+                sum(o.unfairness for o in outcomes) / len(outcomes)
+            )
+            assert result.average_makespan[2][position] == (
+                sum(o.mean_application_makespan for o in outcomes) / len(outcomes)
+            )
 
     def test_invalid_arguments(self, tiny_platform):
         with pytest.raises(ConfigurationError):

@@ -7,6 +7,8 @@ from repro.exceptions import ConfigurationError
 from repro.experiments.runner import (
     CampaignConfig,
     CampaignResult,
+    ExperimentResult,
+    StrategyOutcome,
     compute_own_makespans,
     run_campaign,
     run_experiment,
@@ -110,3 +112,50 @@ class TestCampaign:
         result = CampaignResult(config=CampaignConfig())
         with pytest.raises(ConfigurationError):
             result._experiments_at(4)
+
+
+def experiment_with(strategies, n_ptgs):
+    """A minimal experiment result reporting *strategies* at *n_ptgs*."""
+    outcomes = {
+        name: StrategyOutcome(
+            strategy=name, betas={}, makespans={}, slowdowns={},
+            unfairness=1.0, batch_makespan=10.0, mean_application_makespan=5.0,
+        )
+        for name in strategies
+    }
+    return ExperimentResult(
+        platform="p", workload="w", n_ptgs=n_ptgs, own_makespans={},
+        outcomes=outcomes,
+    )
+
+
+class TestMismatchedStrategySets:
+    """A strategy missing from some experiment is a ConfigurationError, never a KeyError."""
+
+    @pytest.mark.parametrize("method", [
+        "average_unfairness",
+        "average_relative_makespan",
+        "average_mean_application_makespan",
+    ])
+    @pytest.mark.parametrize("second_count", [2, 4], ids=["same-count", "across-counts"])
+    def test_every_average_refuses_mixed_sets(self, method, second_count):
+        result = CampaignResult(
+            config=CampaignConfig(),
+            experiments=[
+                experiment_with(("S", "ES"), n_ptgs=2),
+                experiment_with(("S",), n_ptgs=second_count),
+            ],
+        )
+        with pytest.raises(ConfigurationError, match="same strategies"):
+            getattr(result, method)()
+
+    def test_reordered_sets_are_the_same_set(self):
+        result = CampaignResult(
+            config=CampaignConfig(),
+            experiments=[
+                experiment_with(("S", "ES"), n_ptgs=2),
+                experiment_with(("ES", "S"), n_ptgs=2),
+            ],
+        )
+        assert result.strategy_names() == ["S", "ES"]
+        assert result.average_unfairness() == {"S": [1.0], "ES": [1.0]}
