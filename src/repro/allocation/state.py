@@ -56,7 +56,8 @@ from repro.dag.graph import PTG
 from repro.exceptions import AllocationError
 
 #: Key under which batched Amdahl tables are parked in ``PTG._cache``
-#: (cleared automatically on any structural mutation of the graph).
+#: (dropped automatically on any structural mutation of the graph, and
+#: shared with its renamed copies).
 _TABLE_CACHE_KEY = "alloc_tables"
 
 
@@ -74,19 +75,20 @@ def prepare_allocation_tables(
     computes -- only the NumPy dispatch overhead is amortized.
 
     Graphs whose tables are already cached for this ``(reference, cap)``
-    are skipped.  Call :func:`discard_allocation_tables` once a graph's
-    allocation has been materialised to keep a long stream's memory
-    high-water mark flat.
+    are skipped, and graphs sharing one cache (renamed copies) get one
+    sweep between them.  Call :func:`discard_allocation_tables` once a
+    graph's allocation has been materialised to keep a long stream's
+    memory high-water mark flat.
     """
     if cap < 1:
         raise AllocationError(f"allocation cap must be >= 1, got {cap}")
     cap = int(cap)
     pending: List[PTG] = []
-    seen_ids = set()
+    seen_caches = set()
     for ptg in ptgs:
-        if id(ptg) in seen_ids:
+        if id(ptg._cache) in seen_caches:
             continue
-        seen_ids.add(id(ptg))
+        seen_caches.add(id(ptg._cache))
         cached = ptg._cache.get(_TABLE_CACHE_KEY)
         if isinstance(cached, dict) and (reference, cap) in cached:
             continue
@@ -126,7 +128,9 @@ def discard_allocation_tables(ptg: PTG) -> None:
     The tables only serve the admissions of one batch; dropping them
     afterwards (the streaming session does it on commit) keeps the
     per-graph cache from pinning ``O(n_tasks * cap)`` floats for the
-    lifetime of the stream.  A graph without cached tables is a no-op.
+    lifetime of the stream.  The tables go for every copy sharing the
+    graph's cache; a later allocation of one of them rebuilds its own,
+    bit-identical rows.  A graph without cached tables is a no-op.
     """
     ptg._cache.pop(_TABLE_CACHE_KEY, None)
 

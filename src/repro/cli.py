@@ -625,7 +625,8 @@ def _cmd_store(args: argparse.Namespace) -> int:
 
     summary = summarize_store(_existing_store(args.store))
     if args.format == "json":
-        print(json.dumps(summary, indent=2, sort_keys=True))
+        # unsorted: the series keep the summary's strategy order
+        print(json.dumps(summary, indent=2))
         return 0
     print(
         f"{summary['experiments']} experiment(s), "

@@ -274,36 +274,6 @@ class DagArrays:
                 bl[with_succ] = durations[with_succ] + np.maximum(best, 0.0)
         return bl
 
-    def critical_path_length(self, durations: np.ndarray) -> float:
-        """Critical path length (seconds) under *durations*."""
-        if self.n_tasks == 0:
-            return 0.0
-        return float(self.bottom_levels(durations).max())
-
-    def critical_path(self, bl: np.ndarray) -> List[int]:
-        """Indices along one critical path, from entry to exit.
-
-        *bl* is a bottom-level array previously returned by
-        :meth:`bottom_levels`.  Tie-breaks reproduce
-        :meth:`repro.dag.graph.PTG.critical_path`: the entry (and each
-        successor step) with the maximal bottom level wins, ties going to
-        the smallest task id -- which is why the CSR adjacency is stored
-        sorted by task id, making ``argmax`` pick the right duplicate.
-        """
-        if self.n_tasks == 0:
-            return []
-        entry_bl = bl[self.entries]
-        best = entry_bl.max()
-        tied = self.entries[entry_bl == best]
-        current = int(tied[np.argmin(self.task_ids[tied])])
-        path = [current]
-        succ_ptr, succ_idx = self.succ_ptr, self.succ_idx
-        while succ_ptr[current] != succ_ptr[current + 1]:
-            succs = succ_idx[succ_ptr[current] : succ_ptr[current + 1]]
-            current = int(succs[np.argmax(bl[succs])])
-            path.append(current)
-        return path
-
     def bottom_levels_py(self, durations: List[float]) -> List[float]:
         """Scalar bottom-level DP over Python lists (small-graph fast path).
 
@@ -325,10 +295,13 @@ class DagArrays:
         return bl
 
     def critical_path_py(self, bl: List[float]) -> List[int]:
-        """Scalar critical-path walk over a Python bottom-level list.
+        """Critical-path walk over a Python bottom-level list.
 
-        Same tie-breaks as :meth:`critical_path` (maximal bottom level,
-        ties to the smallest task id) without NumPy per-step overhead.
+        Indices along one critical path, from entry to exit, with the
+        tie-breaks of :meth:`repro.dag.graph.PTG.critical_path`: the entry
+        (and each successor step) with the maximal bottom level wins,
+        ties going to the smallest task id.  The allocation loop
+        (:mod:`repro.allocation.fastloop`) walks it once per iteration.
         """
         if self.n_tasks == 0:
             return []
@@ -473,16 +446,17 @@ def compile_arrays_batch(ptgs: Sequence["PTG"]) -> List[DagArrays]:
 
     Results are seeded into each graph's cache, so a later
     :meth:`~repro.dag.graph.PTG.arrays` call reuses them; graphs already
-    compiled are left untouched.  Raises
+    compiled are left untouched, and graphs sharing one cache (renamed
+    copies, :meth:`~repro.dag.graph.PTG.copy`) are compiled once.  Raises
     :class:`~repro.exceptions.InvalidGraphError` on an empty or cyclic
     graph, like the single-graph compilation.
     """
     pending: List["PTG"] = []
-    seen_ids = set()
+    seen_caches = set()
     for ptg in ptgs:
-        if id(ptg) in seen_ids or "arrays" in ptg._cache:
+        if id(ptg._cache) in seen_caches or "arrays" in ptg._cache:
             continue
-        seen_ids.add(id(ptg))
+        seen_caches.add(id(ptg._cache))
         if ptg.n_tasks == 0:
             raise InvalidGraphError(f"PTG {ptg.name!r} is empty")
         pending.append(ptg)

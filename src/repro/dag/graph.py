@@ -82,6 +82,9 @@ class PTG:
         self._tasks: Dict[int, Task] = {}
         self._succ: Dict[int, Dict[int, float]] = {}
         self._pred: Dict[int, Dict[int, float]] = {}
+        # name-free derived data (topological order, levels, DagArrays,
+        # parked Amdahl tables); shared with renamed copies (see copy()),
+        # so a mutation detaches it with a fresh dict, never clear()
         self._cache: Dict[str, object] = {}
         for task in tasks or ():
             self.add_task(task)
@@ -100,7 +103,7 @@ class PTG:
         self._tasks[task.task_id] = task
         self._succ[task.task_id] = {}
         self._pred[task.task_id] = {}
-        self._cache.clear()
+        self._cache = {}
 
     def add_edge(self, src_id: int, dst_id: int, data_bytes: float = 0.0) -> None:
         """Add a dependency edge carrying *data_bytes* bytes.
@@ -124,7 +127,7 @@ class PTG:
             )
         self._succ[src_id][dst_id] = float(data_bytes)
         self._pred[dst_id][src_id] = float(data_bytes)
-        self._cache.clear()
+        self._cache = {}
 
     def ensure_single_entry_exit(self) -> None:
         """Add synthetic zero-cost entry/exit tasks if needed.
@@ -146,7 +149,7 @@ class PTG:
             self.add_task(exit_task)
             for t in exits:
                 self.add_edge(t.task_id, exit_task.task_id, 0.0)
-        self._cache.clear()
+        self._cache = {}
 
     # ------------------------------------------------------------------ #
     # container protocol / basic queries
@@ -480,9 +483,11 @@ class PTG:
     def arrays(self):
         """The :class:`~repro.dag.arrays.DagArrays` compilation of this graph.
 
-        Compiled lazily and cached until the graph is mutated (the cache
-        is cleared by :meth:`add_task` / :meth:`add_edge`).  The compiled
-        arrays are shared by the allocation hot loop
+        Compiled lazily and cached until the graph is mutated
+        (:meth:`add_task` / :meth:`add_edge` detach the graph from its
+        cache); renamed copies (:meth:`copy`) share the compilation of
+        their source.  The compiled arrays are shared by the allocation
+        hot loop
         (:class:`repro.allocation.state.AllocationState`) and the mapping
         prioritisation (:meth:`repro.mapping.base.AllocatedPTG.bottom_levels`).
         """
@@ -495,8 +500,21 @@ class PTG:
         return cached
 
     def copy(self, name: Optional[str] = None) -> "PTG":
-        """A structural copy of the graph (tasks are shared, they are immutable)."""
-        return PTG(name or self.name, tasks=self.tasks(), edges=self.edges())
+        """A structural copy of the graph, optionally renamed.
+
+        Tasks are shared (they are immutable), and so is the cache of
+        derived data: nothing in it depends on a name (the topological
+        order and levels are task ids, the :meth:`arrays` compilation and
+        its :attr:`~repro.dag.arrays.DagArrays.digest` cover costs and
+        structure only), so recurring jobs submitted as
+        ``template.copy(name=...)`` compile one graph between them.
+        Mutating either graph afterwards detaches that graph with an
+        empty cache; the other keeps the shared one, which still
+        describes it.
+        """
+        clone = PTG(name or self.name, tasks=self.tasks(), edges=self.edges())
+        clone._cache = self._cache
+        return clone
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return (

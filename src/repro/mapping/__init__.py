@@ -33,7 +33,7 @@ and ``docs/architecture.md``).
 from repro.mapping.schedule import Schedule, ScheduledTask
 from repro.mapping.timeline import ClusterTimeline, PlatformTimeline
 from repro.mapping.comm import CommunicationEstimator
-from repro.mapping.eft import PlacementEngine, PlacementDecision
+from repro.mapping.eft import PlacementEngine
 from repro.mapping.base import Mapper, AllocatedPTG
 from repro.mapping.ready_list import ReadyListMapper
 from repro.mapping.global_order import GlobalOrderMapper
@@ -45,7 +45,6 @@ __all__ = [
     "PlatformTimeline",
     "CommunicationEstimator",
     "PlacementEngine",
-    "PlacementDecision",
     "Mapper",
     "AllocatedPTG",
     "ReadyListMapper",

@@ -74,23 +74,28 @@ class CommunicationEstimator:
     def transfer_time(
         self, data_bytes: float, src_cluster: str, dst_cluster: str
     ) -> float:
-        """Estimated time to move *data_bytes* from *src_cluster* to *dst_cluster*."""
+        """Estimated time to move *data_bytes* from *src_cluster* to *dst_cluster*.
+
+        The memo is read first: a memoised key passed the argument checks
+        when it was first seen.  Zero-byte and intra-cluster transfers
+        (exactly ``0.0``) are memoised like the others.
+        """
+        key = (data_bytes, src_cluster, dst_cluster)
+        cached = self._time_cache.get(key)
+        if cached is not None:
+            return cached
         if data_bytes < 0:
             raise MappingError(f"data_bytes must be non-negative, got {data_bytes}")
         if src_cluster not in self.platform or dst_cluster not in self.platform:
             raise MappingError(
                 f"unknown cluster in transfer {src_cluster!r} -> {dst_cluster!r}"
             )
-        if data_bytes == 0:
-            return 0.0
-        if src_cluster == dst_cluster:
-            return 0.0
-        key = (data_bytes, src_cluster, dst_cluster)
-        cached = self._time_cache.get(key)
-        if cached is None:
+        if data_bytes == 0 or src_cluster == dst_cluster:
+            cached = 0.0
+        else:
             latency, bandwidth = self._pair_parameters(src_cluster, dst_cluster)
             cached = latency + data_bytes / bandwidth
-            self._time_cache[key] = cached
+        self._time_cache[key] = cached
         return cached
 
     def worst_case_transfer_time(self, data_bytes: float) -> float:

@@ -38,7 +38,6 @@ and ``tests/test_delta_golden.py``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.allocation.base import Allocation
@@ -46,26 +45,15 @@ from repro.dag.task import Task
 from repro.exceptions import MappingError
 from repro.mapping.comm import CommunicationEstimator
 from repro.mapping.schedule import Schedule, ScheduledTask
-from repro.mapping.timeline import PlatformTimeline
+from repro.mapping.timeline import ClusterTimeline, PlatformTimeline
 from repro.obs import meters
 from repro.platform.multicluster import MultiClusterPlatform
 
-
-@dataclass(frozen=True)
-class PlacementDecision:
-    """Outcome of placing one task on the platform."""
-
-    cluster_name: str
-    processors: int
-    start: float
-    finish: float
-    packed: bool
-    original_processors: int
-
-    @property
-    def was_reduced(self) -> bool:
-        """True when the packing mechanism shrank the allocation."""
-        return self.processors < self.original_processors
+#: The winner of :meth:`PlacementEngine._select`: ``(processors, start,
+#: finish, duration, packed, requested processors, cluster name,
+#: timeline)``, where ``duration`` is the evaluated execution time that
+#: :meth:`PlacementEngine.place` reserves.
+Selection = Tuple[int, float, float, float, bool, int, str, ClusterTimeline]
 
 
 class PlacementEngine:
@@ -114,7 +102,7 @@ class PlacementEngine:
         predecessors: List[Tuple[int, float]],
         schedule: Schedule,
         not_before: float,
-    ) -> PlacementDecision:
+    ) -> Selection:
         """Delta-EFT cluster selection: bound-ordered with early cutoff.
 
         Bit-identical to a full declaration-order scan of every cluster
@@ -128,7 +116,11 @@ class PlacementEngine:
         without computing their data-ready times or candidates.  The
         winner is picked by the (unique) lexicographic minimum of
         ``(finish, start, declaration index)``, which equals the full
-        scan's first-wins declaration order.
+        scan's first-wins declaration order, and returned as a
+        :data:`Selection` carrying the duration it was evaluated with:
+        ``(alpha + (1 - alpha) / p) * flops / speed``, the expression of
+        :meth:`~repro.dag.task.Task.execution_time` (``0.0`` for a
+        synthetic task).
         """
         if not_before < 0:
             raise MappingError(f"ready_time must be non-negative, got {not_before}")
@@ -179,22 +171,25 @@ class PlacementEngine:
                     lower_start + dur_req,
                     decl_index,
                     cluster,
+                    timeline,
                     requested,
                     dur_req,
                     frontier,
                     speed,
                 )
             )
-        candidates.sort(key=lambda c: (c[0], c[1]))
+        # declaration indices are unique, so the tuple order never looks
+        # past them
+        candidates.sort()
 
         comm = self.comm
         enable_packing = self.enable_packing
         best_finish = best_start = float("inf")
         best_decl = len(candidates)
-        best: Optional[Tuple[int, float, float, bool, int, str]] = None
-        for bound, decl_index, cluster, requested, dur_req, frontier, speed in (
-            candidates
-        ):
+        best: Optional[Selection] = None
+        for (
+            bound, decl_index, cluster, timeline, requested, dur_req, frontier, speed
+        ) in candidates:
             if bound > best_finish:
                 # every remaining candidate finishes at or above its bound
                 break
@@ -213,19 +208,22 @@ class PlacementEngine:
             start = ready if ready >= kth else kth
             finish = start + dur_req
 
-            procs, pstart, pfinish, packed = requested, start, finish, False
+            procs, pstart, pfinish, pdur, packed = (
+                requested, start, finish, dur_req, False,
+            )
             if enable_packing and requested > 1 and start > ready + 1e-12:
                 p = requested - 1
                 while p >= 1:
                     kthp = frontier[p - 1]
                     if kthp > ready:
-                        alt_finish = kthp + (alpha + one_minus / p) * flops / speed
+                        dur = (alpha + one_minus / p) * flops / speed
+                        alt_finish = kthp + dur
                         if kthp < start - 1e-12 and alt_finish <= finish + 1e-12:
                             if alt_finish < pfinish - 1e-12 or (
                                 abs(alt_finish - pfinish) <= 1e-12 and kthp < pstart
                             ):
-                                procs, pstart, pfinish, packed = (
-                                    p, kthp, alt_finish, True,
+                                procs, pstart, pfinish, pdur, packed = (
+                                    p, kthp, alt_finish, dur, True,
                                 )
                         p -= 1
                         continue
@@ -234,7 +232,8 @@ class PlacementEngine:
                     if not ready < start - 1e-12:
                         break  # ... which never satisfies "starts earlier"
                     while p >= 1:
-                        alt_finish = ready + (alpha + one_minus / p) * flops / speed
+                        dur = (alpha + one_minus / p) * flops / speed
+                        alt_finish = ready + dur
                         if alt_finish > finish + 1e-12 or alt_finish > pfinish + 1e-12:
                             # durations only grow as p shrinks, so neither
                             # acceptance bound can be met again: done
@@ -242,25 +241,20 @@ class PlacementEngine:
                         if alt_finish < pfinish - 1e-12 or (
                             abs(alt_finish - pfinish) <= 1e-12 and ready < pstart
                         ):
-                            procs, pstart, pfinish, packed = (
-                                p, ready, alt_finish, True,
+                            procs, pstart, pfinish, pdur, packed = (
+                                p, ready, alt_finish, dur, True,
                             )
                         p -= 1
                     break
 
             if (pfinish, pstart, decl_index) < (best_finish, best_start, best_decl):
                 best_finish, best_start, best_decl = pfinish, pstart, decl_index
-                best = (procs, pstart, pfinish, packed, requested, cname)
+                best = (
+                    procs, pstart, pfinish, pdur, packed, requested, cname, timeline,
+                )
         if best is None:  # pragma: no cover - platform is never empty
             raise MappingError("platform has no cluster to place the task on")
-        return PlacementDecision(
-            cluster_name=best[5],
-            processors=best[0],
-            start=best[1],
-            finish=best[2],
-            packed=best[3],
-            original_processors=best[4],
-        )
+        return best
 
     # ------------------------------------------------------------------ #
     # placement
@@ -293,43 +287,38 @@ class PlacementEngine:
             Lower bound on the start time (the instant the task became
             ready in the event-driven mapper).
         """
-        best_decision = self._select(
-            ptg_name, task, allocation, predecessors, schedule, not_before
-        )
-
-        timeline = self.timelines.timeline(best_decision.cluster_name)
-        cluster = self.platform.cluster(best_decision.cluster_name)
-        duration = task.execution_time(best_decision.processors, cluster.speed_flops)
+        (
+            procs, evaluated_start, evaluated_finish, duration,
+            packed, requested, cluster_name, timeline,
+        ) = self._select(ptg_name, task, allocation, predecessors, schedule, not_before)
+        # reserve exactly what was evaluated: the duration _select computed
+        # and its start, on the timeline it read
         indices, start, finish = timeline.reserve(
-            best_decision.processors,
-            ready_time=best_decision.start,
-            duration=duration,
+            procs, ready_time=evaluated_start, duration=duration
         )
-        if abs(start - best_decision.start) > 1e-6 or abs(finish - best_decision.finish) > 1e-6:
+        if abs(start - evaluated_start) > 1e-6 or abs(finish - evaluated_finish) > 1e-6:
             # The reservation must match the evaluation: both use the same
             # timeline state, so a mismatch means an internal bug.
             raise MappingError(
                 f"inconsistent reservation for task {task.task_id} of {ptg_name!r}: "
-                f"evaluated [{best_decision.start:.6f}, {best_decision.finish:.6f}] "
+                f"evaluated [{evaluated_start:.6f}, {evaluated_finish:.6f}] "
                 f"but reserved [{start:.6f}, {finish:.6f}]"
             )
-        if best_decision.packed:
+        if packed:
             self.packed_tasks += 1
         registry = meters.active()
         if registry is not None:
             registry.counter("mapping.placements").inc()
-            if best_decision.packed:
+            if packed:
                 registry.counter("mapping.packed").inc()
-            if best_decision.was_reduced:
+            if procs < requested:
                 registry.histogram(
                     "mapping.packing_reduction", edges=meters.DEFAULT_COUNT_EDGES
-                ).observe(
-                    best_decision.original_processors - best_decision.processors
-                )
+                ).observe(requested - procs)
         entry = ScheduledTask(
             ptg_name=ptg_name,
             task_id=task.task_id,
-            cluster_name=best_decision.cluster_name,
+            cluster_name=cluster_name,
             processors=tuple(indices),
             start=start,
             finish=finish,

@@ -18,15 +18,16 @@ an O(1) lookup of the ``p``-th sorted free time,
 ``select_processors(p)`` reads the indices of the first ``p`` pairs
 (exactly the ``(free time, index)`` lexicographic order), and
 ``reserve`` drops the first ``p`` entries of both sorted lists and
-inserts the new finish time with :mod:`bisect` -- no NumPy call on
-arrays of at most a few hundred entries.  The EFT packing sweep in
+inserts the new finish time as one block at its :mod:`bisect`
+position -- no NumPy call on arrays of at most a few hundred entries.
+The EFT packing sweep in
 :mod:`repro.mapping.eft` reads the whole candidate range ``k = 1..p``
 from the sorted free times, :meth:`ClusterTimeline.kth_free_list`.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -166,23 +167,36 @@ class ClusterTimeline:
 
         Returns ``(processor_indices, start, finish)``.  The reservation
         commits the non-insertion rule: the selected processors are the
-        ones that free up first, and all of them become busy until
-        ``start + duration``.
+        ones that free up first (:meth:`select_processors`), the start
+        is :meth:`earliest_start`, and all of them become busy until
+        ``start + duration``.  The checks are those of the two methods,
+        made once: ``1 <= processors <= P``, a non-negative *ready_time*
+        and *duration*.
+
+        The taken processors are the first ``processors`` entries of both
+        sorted lists and ``finish`` is at or above all of them, so they
+        are dropped and their ``(finish, index)`` pairs go back as one
+        index-sorted block, merged only with the pairs already free at
+        exactly ``finish`` -- the same list ``processors`` separate
+        :func:`bisect.insort` calls build.
         """
         if duration < 0:
             raise MappingError(f"duration must be non-negative, got {duration}")
-        start = self.earliest_start(processors, ready_time)
-        indices = self.select_processors(processors)
-        finish = start + duration
-        self._txn_snapshot()
+        self._check_processors(processors)
+        if ready_time < 0:
+            raise MappingError(f"ready_time must be non-negative, got {ready_time}")
         free_at, pairs, ordered = self._free_at, self._pairs, self._sorted
-        # The taken processors are exactly the first ``processors``
-        # entries of both sorted lists, and ``finish`` is >= all of
-        # them: drop them and insert the finish time once per processor.
+        start = max(ready_time, ordered[processors - 1])
+        finish = start + duration
+        indices = [index for _, index in pairs[:processors]]
+        self._txn_snapshot()
         del pairs[:processors]
         for index in indices:
             free_at[index] = finish
-            insort(pairs, (finish, index))
+        low = high = bisect_left(pairs, (finish,))
+        while high < len(pairs) and pairs[high][0] == finish:
+            high += 1
+        pairs[low:high] = sorted(pairs[low:high] + [(finish, i) for i in indices])
         del ordered[:processors]
         pos = bisect_left(ordered, finish)
         ordered[pos:pos] = [finish] * processors

@@ -11,7 +11,9 @@ it replaced.  This module keeps that original formulation alive:
   per transfer estimate,
 * :class:`ReferencePlacementEngine` -- a full declaration-order scan of
   every cluster, one timeline query per candidate processor count of
-  the packing sweep, scalar Amdahl durations,
+  the packing sweep, scalar Amdahl durations, and a reservation step
+  that recomputes the winner's duration from the task
+  (:class:`PlacementDecision` is its selection record),
 * :class:`ReferenceReadyListMapper` -- list re-sorted per event, readiness
   discovered by rescanning the completed set,
 * :func:`reference_implementation` -- a context manager that swaps the
@@ -29,16 +31,35 @@ from __future__ import annotations
 
 import contextlib
 import heapq
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.exceptions import MappingError
 from repro.mapping.base import AllocatedPTG, Mapper
-from repro.mapping.eft import PlacementDecision, PlacementEngine
-from repro.mapping.schedule import Schedule
+from repro.mapping.eft import PlacementEngine
+from repro.mapping.schedule import Schedule, ScheduledTask
+from repro.obs import meters
 from repro.platform.cluster import Cluster
 from repro.platform.multicluster import MultiClusterPlatform
+
+
+@dataclass(frozen=True)
+class PlacementDecision:
+    """Outcome of placing one task on the platform."""
+
+    cluster_name: str
+    processors: int
+    start: float
+    finish: float
+    packed: bool
+    original_processors: int
+
+    @property
+    def was_reduced(self) -> bool:
+        """True when the packing mechanism shrank the allocation."""
+        return self.processors < self.original_processors
 
 
 class ReferenceClusterTimeline:
@@ -170,12 +191,14 @@ class ReferenceCommunicationEstimator:
 class ReferencePlacementEngine(PlacementEngine):
     """Original EFT engine: full scan, one timeline query per packing candidate.
 
-    Inherits the reservation step (:meth:`PlacementEngine.place`) but
-    replaces the delta-EFT cluster selection with the pre-refactor
+    Replaces the delta-EFT cluster selection with the pre-refactor
     formulation: every cluster is evaluated in declaration order, and
     each candidate processor count of the packing sweep pays its own
-    timeline query and scalar Amdahl duration.  Defaults to the uncached
-    :class:`ReferenceCommunicationEstimator`.
+    timeline query and scalar Amdahl duration.  Its reservation step
+    (:meth:`place`) is the original one too: it looks the winning
+    cluster up by name and recomputes the duration with
+    :meth:`~repro.dag.task.Task.execution_time`.  Defaults to the
+    uncached :class:`ReferenceCommunicationEstimator`.
     """
 
     def __init__(self, platform, enable_packing=True, comm=None):
@@ -260,6 +283,61 @@ class ReferencePlacementEngine(PlacementEngine):
         if best_decision is None:
             raise MappingError("platform has no cluster to place the task on")
         return best_decision
+
+    def place(
+        self,
+        ptg_name,
+        task,
+        allocation,
+        predecessors,
+        schedule,
+        not_before=0.0,
+    ) -> ScheduledTask:
+        """Place *task* on the best cluster and commit the reservation."""
+        best_decision = self._select(
+            ptg_name, task, allocation, predecessors, schedule, not_before
+        )
+
+        timeline = self.timelines.timeline(best_decision.cluster_name)
+        cluster = self.platform.cluster(best_decision.cluster_name)
+        duration = task.execution_time(best_decision.processors, cluster.speed_flops)
+        indices, start, finish = timeline.reserve(
+            best_decision.processors,
+            ready_time=best_decision.start,
+            duration=duration,
+        )
+        if abs(start - best_decision.start) > 1e-6 or abs(finish - best_decision.finish) > 1e-6:
+            # The reservation must match the evaluation: both use the same
+            # timeline state, so a mismatch means an internal bug.
+            raise MappingError(
+                f"inconsistent reservation for task {task.task_id} of {ptg_name!r}: "
+                f"evaluated [{best_decision.start:.6f}, {best_decision.finish:.6f}] "
+                f"but reserved [{start:.6f}, {finish:.6f}]"
+            )
+        if best_decision.packed:
+            self.packed_tasks += 1
+        registry = meters.active()
+        if registry is not None:
+            registry.counter("mapping.placements").inc()
+            if best_decision.packed:
+                registry.counter("mapping.packed").inc()
+            if best_decision.was_reduced:
+                registry.histogram(
+                    "mapping.packing_reduction", edges=meters.DEFAULT_COUNT_EDGES
+                ).observe(
+                    best_decision.original_processors - best_decision.processors
+                )
+        entry = ScheduledTask(
+            ptg_name=ptg_name,
+            task_id=task.task_id,
+            cluster_name=best_decision.cluster_name,
+            processors=tuple(indices),
+            start=start,
+            finish=finish,
+            reference_processors=allocation.processors(task.task_id),
+        )
+        schedule.add(entry)
+        return entry
 
 
 class ReferenceReadyListMapper(Mapper):

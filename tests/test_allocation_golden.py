@@ -242,21 +242,41 @@ class TestMemoGolden:
         )[0]
 
     @staticmethod
-    def assert_oracle(allocator, allocation, platform, beta, **kwargs):
-        """SCRAP-MAX result and ``last_stats`` equal the oracle's on these inputs."""
-        ref_alloc, ref_stats = run_reference_allocation(
-            allocation.ptg, platform, ReferenceCluster.of(platform), beta,
-            LevelConstraint(beta, platform.total_power_gflops), **kwargs
+    def oracle(allocator, ptg, platform, beta, **kwargs):
+        """The oracle loop under *allocator*'s constraint on these inputs."""
+        return run_reference_allocation(
+            ptg, platform, ReferenceCluster.of(platform), beta,
+            allocator.make_constraint(beta, platform.total_power_gflops), **kwargs
+        )
+
+    @classmethod
+    def assert_oracle(cls, allocator, allocation, platform, beta, **kwargs):
+        """The result and ``last_stats`` equal the oracle's on these inputs."""
+        ref_alloc, ref_stats = cls.oracle(
+            allocator, allocation.ptg, platform, beta, **kwargs
         )
         assert allocation.as_dict() == ref_alloc.as_dict()
         assert allocator.last_stats == ref_stats
 
     @pytest.mark.parametrize("variant", [
-        "alpha", "flops", "extra-edge", "beta", "platform", "efficiency_threshold",
+        "alpha", "flops", "extra-edge", "beta", "beta-hcpa", "beta-cpa",
+        "platform", "efficiency_threshold",
     ])
     def test_changed_input_misses_and_equals_its_oracle(self, graph, variant):
         platform, beta, threshold = grid5000.site("nancy"), 0.6, 0.0
         allocator = ScrapMaxAllocator()
+        if variant == "beta-hcpa":
+            allocator = HCPAAllocator()
+        elif variant == "beta-cpa":
+            allocator = CPAAllocator()
+            platform = single_cluster_platform(num_processors=24, speed_gflops=3.0)
+        if variant.startswith("beta"):
+            # CPA and HCPA read beta too, through the balance stop over
+            # max(1, beta * N_ref): a beta-free memo key would be wrong
+            assert (
+                self.oracle(allocator, graph, platform, beta)[0].as_dict()
+                != self.oracle(allocator, graph, platform, 0.25)[0].as_dict()
+            )
         allocator.allocate(graph, platform, beta=beta)
         name = f"{graph.name}-{variant}"
         task = graph.real_tasks()[0]
@@ -267,7 +287,7 @@ class TestMemoGolden:
             copy = with_task(graph, name, flops=task.flops * 2)
         elif variant == "extra-edge":
             copy = with_extra_edge(graph, name)
-        elif variant == "beta":
+        elif variant.startswith("beta"):
             beta = 0.25
         elif variant == "platform":
             platform = grid5000.site("lille")

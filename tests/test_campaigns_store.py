@@ -393,6 +393,35 @@ class TestSummarizeStore:
         )
         assert summarize_store(tmp_path) == summary  # a path works too
 
+    def test_strategies_follow_the_campaign_order(self, tmp_path):
+        from repro.campaigns.orchestrator import run_campaign_parallel
+        from repro.platform import grid5000
+
+        config = CampaignConfig(
+            family="random", ptg_counts=(2,), workloads_per_point=1,
+            platforms=(grid5000.site("lille"),), base_seed=1, max_tasks=6,
+        )
+        in_memory = run_campaign_parallel(config, store=tmp_path, jobs=1)
+        configured = CampaignStore(tmp_path).read_meta()["strategies"]
+        assert configured[:2] == ["S", "ES"]  # not alphabetical
+        assert in_memory.strategy_names() == configured
+        summary = summarize_store(tmp_path)
+        assert summary["strategies"] == configured
+        for series in ("average_unfairness", "average_relative_makespan",
+                       "average_mean_application_makespan"):
+            assert list(summary[series]) == configured
+            assert summary[series] == getattr(in_memory, series)()
+
+    def test_meta_of_another_strategy_set_keeps_the_record_order(self, tmp_path):
+        store = CampaignStore(tmp_path)
+        store.append("k", synthetic_result(strategies=("S", "ES")))
+        store.write_meta({"strategies": ["ES", "S", "PS"]})
+        assert summarize_store(store)["strategies"] == ["ES", "S"]
+        store.write_meta({"strategies": ["S", "ES"]})
+        summary = summarize_store(store)
+        assert summary["strategies"] == ["S", "ES"]
+        assert list(summary["average_unfairness"]) == ["S", "ES"]
+
     def test_duplicate_keys_keep_last_record_wins(self, tmp_path):
         store = CampaignStore(tmp_path / "store")
         first = synthetic_result(scale=1.0)

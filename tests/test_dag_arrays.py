@@ -3,9 +3,14 @@
 import numpy as np
 import pytest
 
+from repro.allocation.reference import ReferenceCluster
+from repro.allocation.state import AllocationState, prepare_allocation_tables
 from repro.dag import PTG, DagArrays, Task, compile_arrays
+from repro.dag import arrays as arrays_module
+from repro.dag.arrays import compile_arrays_batch
 from repro.dag.generator import RandomPTGConfig, generate_random_ptg
 from repro.exceptions import InvalidGraphError
+from repro.platform import grid5000
 
 
 def diamond():
@@ -80,6 +85,104 @@ class TestCompilation:
             arrays.level_slice(99)
 
 
+FIELDS = (
+    "task_ids", "flops", "alpha", "synthetic", "topo", "levels", "level_members",
+    "level_offsets", "pred_ptr", "pred_idx", "succ_ptr", "succ_idx", "entries",
+    "exits",
+)
+
+
+def assert_compiles_like_a_fresh_graph(g):
+    """*g*'s cached compilation equals a from-scratch one of its structure."""
+    fresh = compile_arrays(PTG("fresh", tasks=g.tasks(), edges=g.edges()))
+    compiled = g.arrays()
+    for name in FIELDS:
+        assert np.array_equal(getattr(compiled, name), getattr(fresh, name))
+    assert compiled.index_of == fresh.index_of
+    assert compiled.digest == fresh.digest
+
+
+class TestCopySharing:
+    """Renamed copies share their source's compiled caches until mutated."""
+
+    def test_copy_shares_the_compilation(self):
+        g = diamond()
+        shared = g.arrays()
+        copy = g.copy(name="again")
+        assert copy.name == "again"
+        assert copy.arrays() is shared
+        assert copy.topological_order() == g.topological_order()
+
+    def test_compiling_a_copy_serves_its_source(self):
+        g = diamond()
+        copy = g.copy(name="again")
+        assert copy.arrays() is g.arrays()  # compiled through the copy
+
+    @pytest.mark.parametrize("mutated", ["copy", "source"])
+    def test_mutation_detaches_only_the_mutated_graph(self, mutated):
+        g = diamond()
+        copy = g.copy(name="again")
+        shared = g.arrays()
+        changed, other = (copy, g) if mutated == "copy" else (g, copy)
+        changed.add_task(Task(9, 3e9, 0.0))
+        changed.add_edge(3, 9, 0.0)
+        assert changed.arrays() is not shared
+        assert changed.arrays().n_tasks == 5
+        assert other.arrays() is shared
+        assert other.arrays().n_tasks == 4
+        assert_compiles_like_a_fresh_graph(changed)
+        assert_compiles_like_a_fresh_graph(other)
+
+    def test_single_entry_exit_detaches(self):
+        g = PTG("forked")
+        for tid in range(3):
+            g.add_task(Task(tid, 1e9, 0.0))
+        g.add_edge(0, 1, 0.0)
+        g.add_edge(0, 2, 0.0)
+        copy = g.copy(name="forked-again")
+        shared = g.arrays()
+        copy.ensure_single_entry_exit()  # adds a synthetic exit
+        assert copy.arrays().n_tasks == 4
+        assert g.arrays() is shared and shared.n_tasks == 3
+        assert_compiles_like_a_fresh_graph(copy)
+
+    def test_a_batch_of_copies_compiles_once(self, monkeypatch):
+        gathered = []
+        gather = arrays_module._gather
+
+        def counting(ptg):
+            gathered.append(ptg.name)
+            return gather(ptg)
+
+        monkeypatch.setattr(arrays_module, "_gather", counting)
+        template = generate_random_ptg(4, RandomPTGConfig(n_tasks=12))
+        template.ensure_single_entry_exit()
+        other = diamond()
+        batch = [template.copy(name=f"job-{i}") for i in range(4)] + [other]
+        compiled = compile_arrays_batch(batch)
+        assert gathered == ["job-0", other.name]
+        assert all(arrays is compiled[0] for arrays in compiled[:4])
+        assert template.arrays() is compiled[0]
+        assert_compiles_like_a_fresh_graph(batch[2])
+
+    def test_a_batch_of_copies_shares_one_table_sweep(self):
+        platform = grid5000.site("nancy")
+        reference = ReferenceCluster.of(platform)
+        cap = reference.max_allocation(platform)
+        template = generate_random_ptg(4, RandomPTGConfig(n_tasks=12))
+        template.ensure_single_entry_exit()
+        copies = [template.copy(name=f"job-{i}") for i in range(3)]
+        prepare_allocation_tables(copies, reference, cap)
+        states = [AllocationState(ptg, reference, cap) for ptg in copies]
+        assert all(s.durations_table is states[0].durations_table for s in states)
+        plain = AllocationState(
+            PTG("plain", tasks=template.tasks(), edges=template.edges()),
+            reference, cap,
+        )
+        assert np.array_equal(plain.durations_table, states[0].durations_table)
+        assert np.array_equal(plain.gain_table, states[0].gain_table)
+
+
 class TestBottomLevels:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_graph_dp_bitwise(self, seed):
@@ -103,14 +206,10 @@ class TestBottomLevels:
         time_fn = lambda t: t.execution_time(1, 4e9)
         expected = g.critical_path(time_fn)
         durations = np.array([time_fn(t) for t in g.tasks()])
-        bl = arrays.bottom_levels(durations)
-        vectorized = [arrays.task_ids_tuple[i] for i in arrays.critical_path(bl)]
-        scalar = [
-            arrays.task_ids_tuple[i] for i in arrays.critical_path_py(bl.tolist())
-        ]
-        assert vectorized == expected
-        assert scalar == expected
-        assert arrays.critical_path_length(durations) == g.critical_path_length(time_fn)
+        bl = arrays.bottom_levels(durations).tolist()
+        path = arrays.critical_path_py(bl)
+        assert [arrays.task_ids_tuple[i] for i in path] == expected
+        assert bl[path[0]] == max(bl) == g.critical_path_length(time_fn)
 
     def test_tie_break_prefers_smallest_tid(self):
         # two parallel middle tasks with identical costs: the reference
@@ -129,3 +228,18 @@ class TestBottomLevels:
         bl = arrays.bottom_levels(durations)
         path = [arrays.task_ids_tuple[i] for i in arrays.critical_path_py(bl.tolist())]
         assert path == g.critical_path(time_fn) == [0, 3, 7]
+
+    def test_walk_picks_the_entry_with_the_largest_bottom_level(self):
+        # two entries (bl 4 s and 1.5 s) joining one exit
+        g = PTG("two-entries")
+        g.add_task(Task(0, 0.5e9, 0.0))
+        g.add_task(Task(1, 3e9, 0.0))
+        g.add_task(Task(2, 1e9, 0.0))
+        g.add_edge(0, 2, 0.0)
+        g.add_edge(1, 2, 0.0)
+        arrays = g.arrays()
+        time_fn = lambda t: t.execution_time(1, 1e9)
+        bl = arrays.bottom_levels_py([time_fn(t) for t in g.tasks()])
+        path = arrays.critical_path_py(bl)
+        assert path == [1, 2]
+        assert g.critical_path(time_fn) == [1, 2]

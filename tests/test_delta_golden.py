@@ -46,6 +46,7 @@ from repro.allocation.reference import ReferenceCluster
 from repro.constraints.registry import paper_strategies
 from repro.constraints.strategies import EqualShareStrategy
 from repro.dag.arrays import compile_arrays, compile_arrays_batch
+from repro.dag.graph import PTG
 from repro.exceptions import AllocationError, ConfigurationError, MappingError
 from repro.experiments.workload import WorkloadSpec, make_workload
 from repro.mapping.base import AllocatedPTG
@@ -261,12 +262,21 @@ class TestRecurringStreamGolden:
         assert memo_hits(capture) == 9  # only the first burst runs the loop
 
 
+def uncompiled(ptg, name):
+    """A renamed graph with its own, empty cache.
+
+    ``ptg.copy()`` would share *ptg*'s compilation, so the batched paths
+    below would find everything compiled and silently skip their work.
+    """
+    return PTG(name, tasks=ptg.tasks(), edges=ptg.edges())
+
+
 class TestBatchedKernels:
     """Stacked-arena compilation equals the per-graph construction."""
 
     def test_compile_arrays_batch_matches_single(self, workload):
         singles = [compile_arrays(ptg) for ptg in workload]
-        fresh = [ptg.copy(name=f"{ptg.name}-copy") for ptg in workload]
+        fresh = [uncompiled(ptg, f"{ptg.name}-copy") for ptg in workload]
         batched = compile_arrays_batch(fresh)
         for single, batch in zip(singles, batched):
             for name in (
@@ -278,7 +288,7 @@ class TestBatchedKernels:
             assert single.index_of == batch.index_of
 
     def test_batch_compilation_seeds_the_graph_cache(self, workload):
-        fresh = [ptg.copy(name=f"{ptg.name}-cache") for ptg in workload]
+        fresh = [uncompiled(ptg, f"{ptg.name}-cache") for ptg in workload]
         batched = compile_arrays_batch(fresh)
         for ptg, arrays in zip(fresh, batched):
             assert ptg.arrays() is arrays
@@ -288,7 +298,7 @@ class TestBatchedKernels:
         reference = ReferenceCluster.of(platform)
         cap = reference.max_allocation(platform)
         plain = [AllocationState(ptg, reference, cap) for ptg in workload]
-        fresh = [ptg.copy(name=f"{ptg.name}-tables") for ptg in workload]
+        fresh = [uncompiled(ptg, f"{ptg.name}-tables") for ptg in workload]
         prepare_allocation_tables(fresh, reference, cap)
         for single, ptg in zip(plain, fresh):
             prepared = AllocationState(ptg, reference, cap)
@@ -319,7 +329,7 @@ class TestBatchedKernels:
     def test_failed_batch_drops_every_prebuilt_table(self, workload, entry_point):
         """A raising allocator leaves no graph of the batch holding tables."""
         platform = grid5000.site("nancy")
-        fresh = [ptg.copy(name=f"{ptg.name}-failed") for ptg in workload]
+        fresh = [uncompiled(ptg, f"{ptg.name}-failed") for ptg in workload]
         allocator = ExplodingAllocator(fresh[0].name)
         with pytest.raises(AllocationError):
             if entry_point == "feed":

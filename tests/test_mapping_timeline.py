@@ -157,6 +157,30 @@ class TestTimelineEdgeCases:
         assert timeline.select_processors(3) == [1, 3, 0]
         assert timeline.select_processors(4) == [1, 3, 0, 2]
 
+    def test_reserve_merges_with_processors_free_at_its_finish(self):
+        import numpy as np
+
+        from tests.oracles.mapping import ReferenceClusterTimeline
+
+        fast = ClusterTimeline(Cluster("c", 6, 2.0))
+        slow = ReferenceClusterTimeline(Cluster("c", 6, 2.0))
+        steps = [
+            (1, 0.0, 5.0),  # p0 free at 5
+            (1, 0.0, 2.0),  # p1 free at 2
+            (1, 0.0, 5.0),  # p2 free at 5
+            (1, 0.0, 9.0),  # p3 free at 9, above the finish to come
+            (2, 3.0, 2.0),  # p4 and p5 start at 3 and join p0, p2 at 5
+            (3, 0.0, 0.0),  # p1, p0, p2: zero-length, finish 5 again
+        ]
+        for procs, ready, duration in steps:
+            assert fast.reserve(procs, ready, duration) == slow.reserve(
+                procs, ready, duration
+            )
+            assert np.array_equal(fast.free_times(), slow.free_times())
+            assert fast.select_processors(6) == slow.select_processors(6)
+            assert fast.kth_free_list() == sorted(slow.free_times().tolist())
+        assert fast.select_processors(6) == [0, 1, 2, 4, 5, 3]
+
     def test_matches_reference_timeline_on_random_traffic(self):
         import numpy as np
 
