@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, Optional
+from typing import Dict, Iterable, Iterator, Optional
 
 from repro.allocation.reference import ReferenceCluster
 from repro.dag.graph import PTG
@@ -213,6 +213,16 @@ class AllocationProcedure(abc.ABC):
         self, ptg: PTG, platform: MultiClusterPlatform, beta: float = 1.0
     ) -> Allocation:
         """Compute the allocation of *ptg* on *platform* under constraint *beta*."""
+
+    def prime(
+        self, ptg: PTG, platform: MultiClusterPlatform, betas: Iterable[float]
+    ) -> None:
+        """Prepare the allocations of *ptg* under *betas* ahead of :meth:`allocate`.
+
+        A hint that never changes a result: the default does nothing, and
+        the memoising CPA-family allocators run one pass for all of the
+        betas (:meth:`repro.allocation.iterative.IterativeAllocator.prime`).
+        """
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}()"

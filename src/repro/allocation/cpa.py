@@ -14,9 +14,7 @@ platforms).
 
 from __future__ import annotations
 
-from repro.allocation.base import Allocation
 from repro.allocation.iterative import IterativeAllocator
-from repro.dag.graph import PTG
 from repro.exceptions import AllocationError
 from repro.platform.multicluster import MultiClusterPlatform
 
@@ -30,10 +28,8 @@ class CPAAllocator(IterativeAllocator):
         """The canonical CPA has no over-allocation guard (threshold 0)."""
         super().__init__(efficiency_threshold=efficiency_threshold)
 
-    def allocate(
-        self, ptg: PTG, platform: MultiClusterPlatform, beta: float = 1.0
-    ) -> Allocation:
-        """Allocate *ptg* on the single cluster of *platform*.
+    def check_platform(self, platform: MultiClusterPlatform) -> None:
+        """CPA allocates on single-cluster platforms only.
 
         ``beta`` scales the processor count the balance criterion refers
         to, which allows CPA to be used as a (homogeneous) constrained
@@ -45,4 +41,3 @@ class CPAAllocator(IterativeAllocator):
                 f"{platform.name!r} has {len(platform)} clusters "
                 "(use HCPAAllocator instead)"
             )
-        return super().allocate(ptg, platform, beta=beta)

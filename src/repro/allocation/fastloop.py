@@ -28,7 +28,30 @@ locality:
 * **flat hot path** -- candidate filtering, the ``(gain, -task_id)``
   selection and the per-increment table refresh run inline on
   lazily-materialised Python rows of the precomputed tables, with no
-  per-iteration function calls besides the critical-path walk.
+  per-iteration function calls besides the critical-path walk;
+* **one pass for many betas** -- ``beta`` enters the loop in two
+  threshold tests only (see below), so the runs of one graph under
+  several ``beta`` share every iteration until a test sends them apart;
+  the pass then forks its state and carries on with each side.
+
+Several betas in one pass
+-------------------------
+The loop reads ``beta`` in exactly two places: the balance stop
+``t_cp <= sum(areas) / max(1, beta * N_ref)`` and the constraint test
+``value > beta * P + 1e-12`` after a tentative increment (``value`` is
+the level's power for SCRAP-MAX, the average power for SCRAP).  The
+tables, the candidate scan, the propagation, the efficiency guard and
+``max_iterations`` are ``beta``-free.  IEEE multiplication, addition and
+division by a positive number round monotonically, so with the members
+sorted by ``beta`` each test splits a branch's members into a low prefix
+(stopped, or violated) and a high suffix: comparing against the two ends
+of the range decides the common case, and only a split scans.  A split
+records the finished members' result, or (SCRAP-MAX) copies the
+processor counts, durations, areas, bottom levels, frozen set and
+:class:`~repro.allocation.iterative.IterationStats` for the side that
+rejects the increment; every branch then runs the very operations on the
+very floats its members' own runs would.  A pass with one member is the
+plain loop.
 
 Exactness
 ---------
@@ -55,16 +78,24 @@ oracle frozen in ``tests/oracles/allocation.py``:
 
 ``tests/test_allocation_golden.py`` and ``tests/test_delta_golden.py``
 assert the resulting allocations and :class:`IterationStats` match the
-oracle across procedures, custom checks, workload families and betas.
+oracle across procedures, custom checks, workload families and betas;
+``tests/test_properties_allocation.py`` also primes random beta lists.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from dataclasses import replace
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+
+from repro.exceptions import AllocationError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.allocation.iterative import ConstraintCheck, IterationStats
     from repro.allocation.state import AllocationState
+
+#: What a pass hands back for each member: the processor counts in task
+#: insertion order and the member's own iteration diagnostics.
+MemberResult = Tuple[Tuple[int, ...], "IterationStats"]
 
 
 def _propagate(
@@ -116,22 +147,30 @@ def _propagate(
 
 def run_fused_loop(
     state: "AllocationState",
-    constraint: "ConstraintCheck",
-    stats: "IterationStats",
+    members: Sequence[Tuple[float, "ConstraintCheck"]],
     use_balance_stop: bool,
     max_iterations: int,
     efficiency_threshold: float,
-    effective_ref_size: float,
-) -> None:
-    """Run the allocation iteration, mutating *state* and *stats*.
+) -> Tuple[List[MemberResult], "IterationStats", int]:
+    """Run the allocation iteration once for every ``(beta, constraint)`` member.
 
     The loop body of
-    :func:`repro.allocation.iterative.run_iterative_allocation`; produces
-    allocations and iteration diagnostics bit-identical to the oracle
-    (see the module docstring for the argument).
+    :func:`repro.allocation.iterative.run_iterative_allocation`; each
+    member's result is bit-identical to the oracle's run under its own
+    ``beta`` and constraint (see the module docstring for the argument).
+    Several members must share one built-in constraint class and be
+    sorted so that their balance sizes ``max(1, beta * N_ref)`` and
+    constraint limits ``beta * P + 1e-12`` both never decrease; a custom
+    check runs alone.  The pass starts from *state* and mutates it.
+
+    Returns the per-member ``(processors, stats)`` in member order, the
+    volume the pass ran (iterations, accepted increments and freezes,
+    each counted once however many members shared it) and the number of
+    times a test split the members.
     """
     from repro.allocation.iterative import (
         AreaConstraint,
+        IterationStats,
         LevelConstraint,
         NoConstraint,
     )
@@ -148,138 +187,211 @@ def run_fused_loop(
         topo_pos[v] = pos
     dirty = [False] * n
 
-    durations = state.durations  # live views: kept in sync by the
-    areas = state.areas  # inline increment / revert below
-    procs = state.procs
     cap = state.cap
-    frozen: set = set()
     efficiency_guard = efficiency_threshold - 1e-12
     use_efficiency_guard = efficiency_threshold > 0.0
-    bl = state.bottom_levels()
 
     # constraint dispatch hoisted out of the loop: 0 = none, 1 = area
     # (SCRAP average power), 2 = level (SCRAP-MAX per-level power),
     # 3 = any other check, called on a materialised Allocation
+    constraint = members[0][1]
     speed_gflops = state.reference.speed_gflops
     check_kind = 3
-    area_limit = level_limit = 0.0
-    members_of: List[Tuple[int, ...]] = []
+    level_members: List[Tuple[int, ...]] = []
     if type(constraint) is NoConstraint:
         check_kind = 0
     elif type(constraint) is AreaConstraint:
         check_kind = 1
-        area_limit = constraint.beta * constraint.platform_power_gflops + 1e-12
     elif type(constraint) is LevelConstraint:
         check_kind = 2
-        level_limit = constraint.beta * constraint.platform_power_gflops + 1e-12
         level_tuples = arrays.level_tuples
         levels_tuple = arrays.levels_tuple
-        members_of = [level_tuples[levels_tuple[i]] for i in range(n)]
+        level_members = [level_tuples[levels_tuple[i]] for i in range(n)]
     stop_on_violation = constraint.stop_on_violation
+    sizes = [max(1.0, beta * state.reference.size) for beta, _ in members]
+    limits = [
+        c.beta * c.platform_power_gflops + 1e-12 if check_kind in (1, 2) else 0.0
+        for _, c in members
+    ]
+    m = len(members)
+    if m > 1 and (
+        check_kind == 3
+        or any(type(c) is not type(constraint) for _, c in members)
+        or sizes != sorted(sizes)
+        or limits != sorted(limits)
+    ):
+        raise AllocationError(
+            "a pass over several betas needs one built-in constraint class "
+            "and members sorted by beta"
+        )
 
     # lazily materialised Python rows of the precomputed tables, fetched
-    # through the state so its own caches stay shared
+    # through the state so its own caches stay shared; beta-free, so
+    # every branch of the pass reads the same rows
     gain_rows: List[Optional[List[float]]] = [None] * n
     dur_rows: List[Optional[List[float]]] = [None] * n
     area_rows: List[Optional[List[float]]] = [None] * n
     eff_rows: List[Optional[List[float]]] = [None] * n
 
-    # After a freeze the state is restored bit-for-bit, so the bottom
-    # levels, balance test and critical path of the next iteration are
-    # the floats already in hand -- only the candidate filter changes.
-    path_valid = False
-    path: List[int] = []
-    while stats.iterations < max_iterations:
-        stats.iterations += 1
-        if not path_valid:
-            t_cp = max(bl)
-            if t_cp <= 0.0:
-                # graph of only synthetic tasks: nothing to allocate
-                break
-            if use_balance_stop:
-                if t_cp <= sum(areas) / effective_ref_size:
-                    stats.stopped_by_balance = True
+    results: List[Optional[MemberResult]] = [None] * m
+    ran = IterationStats()
+    forks = 0
+    # a branch: its member range [lo, hi), its working state, and the
+    # counters it started from (so the pass counts shared work once)
+    stack = [(
+        0, m, state.procs, state.durations, state.areas, state.bottom_levels(),
+        set(), [], False, IterationStats(), 0, 0, 0,
+    )]
+    while stack:
+        (lo, hi, procs, durations, areas, bl, frozen, path, path_valid, stats,
+         start_iterations, start_increments, start_frozen) = stack.pop()
+        size_lo = sizes[lo]
+        limit_lo = limits[lo]
+        # After a freeze the state is restored bit-for-bit, so the bottom
+        # levels, balance test and critical path of the next iteration are
+        # the floats already in hand -- only the candidate filter changes.
+        while stats.iterations < max_iterations:
+            stats.iterations += 1
+            if not path_valid:
+                t_cp = max(bl)
+                if t_cp <= 0.0:
+                    # graph of only synthetic tasks: nothing to allocate
                     break
-            path = arrays.critical_path_py(bl)
-            path_valid = True
+                if use_balance_stop:
+                    total = sum(areas)
+                    if t_cp <= total / size_lo:
+                        # the balance bound falls with beta: the members
+                        # up to the first that still runs stop here
+                        k = lo + 1
+                        while k < hi and t_cp <= total / sizes[k]:
+                            k += 1
+                        if k == hi:
+                            stats.stopped_by_balance = True
+                            break
+                        done = (tuple(procs), replace(stats, stopped_by_balance=True))
+                        results[lo:k] = [done] * (k - lo)
+                        forks += 1
+                        lo, size_lo, limit_lo = k, sizes[k], limits[k]
+                path = arrays.critical_path_py(bl)
+                path_valid = True
 
-        # fused candidate filter + (gain, -task_id) argmax over the
-        # critical path; only a strictly greater key replaces the
-        # incumbent, like the reference's first-maximal ``max``
-        best = -1
-        best_gain = 0.0
-        best_tid = 0
-        for i in path:
-            if synthetic[i] or i in frozen:
-                continue
-            p = procs[i]
-            if p >= cap:
-                continue
-            if use_efficiency_guard:
-                eff = eff_rows[i]
-                if eff is None:
-                    eff = eff_rows[i] = state.efficiency_row(i)
-                if eff[p] < efficiency_guard:
+            # fused candidate filter + (gain, -task_id) argmax over the
+            # critical path; only a strictly greater key replaces the
+            # incumbent, like the reference's first-maximal ``max``
+            best = -1
+            best_gain = 0.0
+            best_tid = 0
+            for i in path:
+                if synthetic[i] or i in frozen:
                     continue
-            row = gain_rows[i]
-            if row is None:
-                row = gain_rows[i] = state.gain_row(i)
-            g = row[p - 1]
-            tid = task_ids[i]
-            if best < 0 or g > best_gain or (g == best_gain and tid < best_tid):
-                best, best_gain, best_tid = i, g, tid
-        if best < 0:
-            stats.stopped_by_saturation = True
-            break
-
-        # tentative increment; bounds always hold (p < cap)
-        p1 = procs[best] + 1
-        procs[best] = p1
-        drow = dur_rows[best]
-        if drow is None:
-            drow = dur_rows[best] = state.duration_row(best)
-        arow = area_rows[best]
-        if arow is None:
-            arow = area_rows[best] = state.area_row(best)
-        durations[best] = drow[p1 - 1]
-        areas[best] = arow[p1 - 1]
-
-        undo = _propagate(
-            best, bl, durations, succ_of, pred_of, topo_order, topo_pos, dirty
-        )
-
-        if check_kind == 2:
-            violated = (
-                sum(
-                    0.0 if synthetic[i] else procs[i] * speed_gflops
-                    for i in members_of[best]
-                )
-                > level_limit
-            )
-        elif check_kind == 1:
-            # operation order of Allocation.average_power, with the
-            # critical path length read off the maintained bottom levels
-            cp = max(bl)
-            violated = cp > 0.0 and sum(areas) * speed_gflops / cp > area_limit
-        elif check_kind == 3:
-            violated = constraint.violated(
-                state.as_allocation(), state.ptg.task(task_ids[best])
-            )
-        else:
-            violated = False
-
-        if violated:
-            # revert the increment and roll the bottom levels back
-            procs[best] = p1 - 1
-            durations[best] = drow[p1 - 2]
-            areas[best] = arow[p1 - 2]
-            for index, old in undo:
-                bl[index] = old
-            if stop_on_violation:
-                stats.stopped_by_constraint = True
+                p = procs[i]
+                if p >= cap:
+                    continue
+                if use_efficiency_guard:
+                    eff = eff_rows[i]
+                    if eff is None:
+                        eff = eff_rows[i] = state.efficiency_row(i)
+                    if eff[p] < efficiency_guard:
+                        continue
+                row = gain_rows[i]
+                if row is None:
+                    row = gain_rows[i] = state.gain_row(i)
+                g = row[p - 1]
+                tid = task_ids[i]
+                if best < 0 or g > best_gain or (g == best_gain and tid < best_tid):
+                    best, best_gain, best_tid = i, g, tid
+            if best < 0:
+                stats.stopped_by_saturation = True
                 break
-            frozen.add(best)
-            stats.frozen_tasks += 1
-            continue
-        stats.increments += 1
-        path_valid = False
+
+            # tentative increment; bounds always hold (p < cap)
+            p1 = procs[best] + 1
+            procs[best] = p1
+            drow = dur_rows[best]
+            if drow is None:
+                drow = dur_rows[best] = state.duration_row(best)
+            arow = area_rows[best]
+            if arow is None:
+                arow = area_rows[best] = state.area_row(best)
+            durations[best] = drow[p1 - 1]
+            areas[best] = arow[p1 - 1]
+
+            undo = _propagate(
+                best, bl, durations, succ_of, pred_of, topo_order, topo_pos, dirty
+            )
+
+            value = 0.0
+            if check_kind == 2:
+                value = sum(
+                    0.0 if synthetic[i] else procs[i] * speed_gflops
+                    for i in level_members[best]
+                )
+                violated = value > limit_lo
+            elif check_kind == 1:
+                # operation order of Allocation.average_power, with the
+                # critical path length read off the maintained bottom levels
+                cp = max(bl)
+                if cp > 0.0:
+                    value = sum(areas) * speed_gflops / cp
+                    violated = value > limit_lo
+                else:
+                    violated = False
+            elif check_kind == 3:
+                violated = constraint.violated(
+                    state.as_allocation(), state.ptg.task(task_ids[best])
+                )
+            else:
+                violated = False
+
+            if violated:
+                # the limit rises with beta: the members up to the first
+                # that keeps the increment reject it
+                k = lo + 1
+                while k < hi and value > limits[k]:
+                    k += 1
+                if k == hi:
+                    # revert the increment and roll the bottom levels back
+                    procs[best] = p1 - 1
+                    durations[best] = drow[p1 - 2]
+                    areas[best] = arow[p1 - 2]
+                    for index, old in undo:
+                        bl[index] = old
+                    if stop_on_violation:
+                        stats.stopped_by_constraint = True
+                        break
+                    frozen.add(best)
+                    stats.frozen_tasks += 1
+                    continue
+                forks += 1
+                kept = list(procs)
+                kept[best] = p1 - 1
+                if stop_on_violation:
+                    done = (tuple(kept), replace(stats, stopped_by_constraint=True))
+                    results[lo:k] = [done] * (k - lo)
+                else:
+                    # members [lo, k) go on from the reverted state with
+                    # the task frozen, on copies of every mutable list
+                    kept_durations = list(durations)
+                    kept_durations[best] = drow[p1 - 2]
+                    kept_areas = list(areas)
+                    kept_areas[best] = arow[p1 - 2]
+                    kept_bl = list(bl)
+                    for index, old in undo:
+                        kept_bl[index] = old
+                    fork_stats = replace(stats)
+                    fork_stats.frozen_tasks += 1
+                    stack.append((
+                        lo, k, kept, kept_durations, kept_areas, kept_bl,
+                        frozen | {best}, path, True, fork_stats,
+                        stats.iterations, stats.increments, stats.frozen_tasks,
+                    ))
+                lo, size_lo, limit_lo = k, sizes[k], limits[k]
+            stats.increments += 1
+            path_valid = False
+
+        done = (tuple(procs), stats)
+        results[lo:hi] = [done] * (hi - lo)
+        ran.iterations += stats.iterations - start_iterations
+        ran.increments += stats.increments - start_increments
+        ran.frozen_tasks += stats.frozen_tasks - start_frozen
+    return results, ran, forks

@@ -44,9 +44,12 @@ The four allocator classes share one ``allocate``
 (:class:`IterativeAllocator`) that keeps an exact memo in front of the
 loop, so a recurring job resubmitted under a new name at a ``beta`` it
 already had skips the loop, bit-identical by construction.
-:func:`run_iterative_allocation` stays memo-free, so custom checks
-(which may read anything in the graph, names included) are never
-memoised.
+:meth:`IterativeAllocator.prime` fills that memo for many betas of one
+graph with a single forked pass (see :mod:`repro.allocation.fastloop`):
+an experiment allocates each graph once for every strategy and for the
+own-makespan reference.  :func:`run_iterative_allocation` stays
+memo-free, so custom checks (which may read anything in the graph,
+names included) are never memoised.
 """
 
 from __future__ import annotations
@@ -55,10 +58,10 @@ import abc
 import hashlib
 from collections import OrderedDict
 from dataclasses import dataclass, replace
-from typing import Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.allocation.base import Allocation, AllocationProcedure
-from repro.allocation.fastloop import run_fused_loop
+from repro.allocation.fastloop import MemberResult, run_fused_loop
 from repro.allocation.reference import ReferenceCluster
 from repro.allocation.state import AllocationState
 from repro.dag.graph import PTG
@@ -207,18 +210,23 @@ def run_iterative_allocation(
     Every call runs the loop: the memo lives in the allocator classes
     (:class:`IterativeAllocator`), not here.
     """
-    _check_inputs(ptg, beta, efficiency_threshold)
+    _check_inputs(ptg, (beta,), efficiency_threshold)
     cap = reference.max_allocation(platform)
-    return _run_loop(
-        ptg, reference, cap, beta, constraint, use_balance_stop,
+    ((procs, stats),) = _run_pass(
+        ptg, reference, cap, [(beta, constraint)], use_balance_stop,
         max_iterations, efficiency_threshold,
     )
+    _count_call()
+    return _allocation(ptg, reference, beta, procs), stats
 
 
-def _check_inputs(ptg: PTG, beta: float, efficiency_threshold: float) -> None:
+def _check_inputs(
+    ptg: PTG, betas: Sequence[float], efficiency_threshold: float
+) -> None:
     """The argument checks every allocation pays, memo hit or not."""
-    if not (0.0 < beta <= 1.0):
-        raise AllocationError(f"beta must be in (0, 1], got {beta}")
+    for beta in betas:
+        if not (0.0 < beta <= 1.0):
+            raise AllocationError(f"beta must be in (0, 1], got {beta}")
     if not (0.0 <= efficiency_threshold <= 1.0):
         raise AllocationError(
             f"efficiency_threshold must be in [0, 1], got {efficiency_threshold}"
@@ -226,46 +234,57 @@ def _check_inputs(ptg: PTG, beta: float, efficiency_threshold: float) -> None:
     ptg.validate()
 
 
-def _run_loop(
-    ptg: PTG, reference: ReferenceCluster, cap: int, beta: float,
-    constraint: ConstraintCheck, use_balance_stop: bool,
+def _count_call() -> None:
+    """Count one allocation call (memo hit or not) while telemetry is on."""
+    registry = meters.active()
+    if registry is not None:
+        registry.counter("allocation.calls").inc()
+
+
+def _allocation(
+    ptg: PTG, reference: ReferenceCluster, beta: float, procs: Tuple[int, ...]
+) -> Allocation:
+    """A fresh :class:`Allocation` of *ptg* holding *procs* in task insertion order."""
+    allocation = Allocation(ptg, reference, beta)
+    allocation._procs = dict(zip(ptg.arrays().task_ids_tuple, procs))
+    return allocation
+
+
+def _run_pass(
+    ptg: PTG, reference: ReferenceCluster, cap: int,
+    members: Sequence[Tuple[float, ConstraintCheck]], use_balance_stop: bool,
     max_iterations: Optional[int], efficiency_threshold: float,
-) -> tuple[Allocation, IterationStats]:
-    """Run the fused loop on checked inputs (see :func:`run_iterative_allocation`)."""
-    stats = IterationStats()
-    effective_ref_size = max(1.0, beta * reference.size)
+) -> List[MemberResult]:
+    """Run one loop pass for *members* on checked inputs (see :func:`run_fused_loop`)."""
     if max_iterations is None:
         max_iterations = ptg.n_tasks * cap + 1
+    state = AllocationState(ptg, reference, cap=cap, beta=members[0][0])
 
-    state = AllocationState(ptg, reference, cap=cap, beta=beta)
-
-    # The span is coarse (one per allocate call) and the counters are
-    # derived from IterationStats after the loop, so telemetry adds no
+    # The span is coarse (one per pass, however many betas it serves) and
+    # the counters are derived after the loop, so telemetry adds no
     # per-iteration work -- disabled or enabled.
     with trace.span("allocation.iterate", ptg=ptg.name) as obs_span:
-        run_fused_loop(
+        results, ran, forks = run_fused_loop(
             state,
-            constraint,
-            stats,
+            members,
             use_balance_stop=use_balance_stop,
             max_iterations=max_iterations,
             efficiency_threshold=efficiency_threshold,
-            effective_ref_size=effective_ref_size,
         )
 
         registry = meters.active()
         if registry is not None:
             obs_span.annotate(
-                iterations=stats.iterations, increments=stats.increments
+                betas=len(members), forks=forks,
+                iterations=ran.iterations, increments=ran.increments,
             )
-            registry.counter("allocation.calls").inc()
-            registry.counter("allocation.iterations").inc(stats.iterations)
-            registry.counter("allocation.increments").inc(stats.increments)
-            registry.counter("allocation.frozen_tasks").inc(stats.frozen_tasks)
-            if stats.stopped_by_constraint:
-                registry.counter("allocation.stopped_by_constraint").inc()
-
-    return state.as_allocation(), stats
+            registry.counter("allocation.iterations").inc(ran.iterations)
+            registry.counter("allocation.increments").inc(ran.increments)
+            registry.counter("allocation.frozen_tasks").inc(ran.frozen_tasks)
+            stopped = sum(stats.stopped_by_constraint for _, stats in results)
+            if stopped:
+                registry.counter("allocation.stopped_by_constraint").inc(stopped)
+    return results
 
 
 #: Keys each allocator instance's memo holds before it drops the least
@@ -273,6 +292,11 @@ def _run_loop(
 #: its whole life, so the memo must stay bounded even when no graph ever
 #: repeats.
 MEMO_CAPACITY = 1024
+
+#: The checks whose only ``beta``-dependent input is a limit that grows
+#: with ``beta``: :meth:`IterativeAllocator.prime` serves all the betas
+#: of one graph with a single pass for these, one pass per beta otherwise.
+_GROUPED_CHECKS = frozenset({NoConstraint, AreaConstraint, LevelConstraint})
 
 
 class IterativeAllocator(AllocationProcedure):
@@ -291,7 +315,8 @@ class IterativeAllocator(AllocationProcedure):
     a copy of the stored stats as :attr:`last_stats`, without building
     an :class:`~repro.allocation.state.AllocationState`; it still raises
     like a miss on a bad ``beta`` or ``efficiency_threshold`` and on an
-    invalid graph.
+    invalid graph.  :meth:`prime` fills the memo for many betas of one
+    graph with a single forked pass.
 
     Parameters
     ----------
@@ -312,48 +337,105 @@ class IterativeAllocator(AllocationProcedure):
         #: Diagnostics of the last :meth:`allocate` call.
         self.last_stats: Optional[IterationStats] = None
         # key -> (processors in task insertion order, stats of the run)
-        self._memo: "OrderedDict[bytes, Tuple[Tuple[int, ...], IterationStats]]" = OrderedDict()
+        self._memo: "OrderedDict[bytes, MemberResult]" = OrderedDict()
 
     def make_constraint(self, beta: float, platform_power_gflops: float) -> ConstraintCheck:
         """The procedure's resource-constraint check (none: CPA / HCPA)."""
         return NoConstraint()
 
+    def check_platform(self, platform: MultiClusterPlatform) -> None:
+        """Raise when the procedure cannot allocate on *platform* (every one can here)."""
+
     def allocate(
         self, ptg: PTG, platform: MultiClusterPlatform, beta: float = 1.0
     ) -> Allocation:
         """Allocate *ptg* on *platform* under *beta*, reusing a memoised run."""
+        self.check_platform(platform)
         reference = ReferenceCluster.of(platform)
         power = platform.total_power_gflops
         constraint = self.make_constraint(beta, power)
-        _check_inputs(ptg, beta, self.efficiency_threshold)
+        _check_inputs(ptg, (beta,), self.efficiency_threshold)
         cap = reference.max_allocation(platform)
-        arrays = ptg.arrays()
+        key = self._key(ptg, reference, cap, power, beta, constraint)
+        memo = self._memo
+        stored = memo.get(key)
+        if stored is None:
+            ((procs, stats),) = self._run(
+                ptg, reference, cap, [(beta, constraint, key)]
+            )
+        else:
+            memo.move_to_end(key)
+            procs, saved = stored
+            stats = replace(saved)
+            registry = meters.active()
+            if registry is not None:
+                registry.counter("allocation.memo_hits").inc()
+                registry.counter("allocation.iterations_saved").inc(saved.iterations)
+        _count_call()
+        self.last_stats = stats
+        return _allocation(ptg, reference, beta, procs)
+
+    def prime(
+        self, ptg: PTG, platform: MultiClusterPlatform, betas: Iterable[float]
+    ) -> None:
+        """Memoise the allocations of *ptg* under every beta of *betas*.
+
+        The betas the memo lacks run as one pass of the loop in increasing
+        ``beta`` order, forked where a ``beta``-dependent test parts them
+        (a custom :class:`ConstraintCheck` runs one pass per beta), so a
+        later :meth:`allocate` of any of them is a memo hit that returns
+        exactly what its own run would.  Raises what :meth:`allocate`
+        raises for the same betas; memoised betas cost one key each.
+        """
+        betas = list(betas)
+        if not betas:
+            return
+        self.check_platform(platform)
+        reference = ReferenceCluster.of(platform)
+        power = platform.total_power_gflops
+        checks = [self.make_constraint(beta, power) for beta in betas]
+        _check_inputs(ptg, betas, self.efficiency_threshold)
+        cap = reference.max_allocation(platform)
+        memo = self._memo
+        pending: Dict[bytes, Tuple[float, ConstraintCheck, bytes]] = {}
+        for beta, constraint in zip(betas, checks):
+            key = self._key(ptg, reference, cap, power, beta, constraint)
+            if key in memo:
+                memo.move_to_end(key)
+            elif key not in pending:
+                pending[key] = (beta, constraint, key)
+        members = sorted(pending.values(), key=lambda member: member[0])
+        kinds = {type(constraint) for _, constraint, _ in members}
+        if len(kinds) == 1 and kinds <= _GROUPED_CHECKS:
+            self._run(ptg, reference, cap, members)
+        else:
+            for member in members:
+                self._run(ptg, reference, cap, [member])
+
+    def _key(
+        self, ptg: PTG, reference: ReferenceCluster, cap: int, power: float,
+        beta: float, constraint: ConstraintCheck,
+    ) -> bytes:
+        """The memo key of one run: every input the loop reads."""
         # one SHA-256 over the graph digest and the repr of every other
         # input the loop reads (float reprs round-trip exactly) keeps each
         # key at 32 bytes, however large the objects behind it
         inputs = (reference, cap, power, beta, type(constraint),
                   self.use_balance_stop, self.efficiency_threshold)
-        key = hashlib.sha256(arrays.digest + repr(inputs).encode()).digest()
+        return hashlib.sha256(ptg.arrays().digest + repr(inputs).encode()).digest()
+
+    def _run(
+        self, ptg: PTG, reference: ReferenceCluster, cap: int,
+        members: Sequence[Tuple[float, ConstraintCheck, bytes]],
+    ) -> List[MemberResult]:
+        """One pass for *members* ``(beta, constraint, key)``, each result memoised."""
+        results = _run_pass(
+            ptg, reference, cap, [(beta, constraint) for beta, constraint, _ in members],
+            self.use_balance_stop, None, self.efficiency_threshold,
+        )
         memo = self._memo
-        stored = memo.get(key)
-        if stored is None:
-            allocation, stats = _run_loop(
-                ptg, reference, cap, beta, constraint, self.use_balance_stop,
-                None, self.efficiency_threshold,
-            )
-            memo[key] = (tuple(allocation._procs.values()), replace(stats))
+        for (_, _, key), (procs, stats) in zip(members, results):
+            memo[key] = (procs, replace(stats))
             if len(memo) > MEMO_CAPACITY:
                 memo.popitem(last=False)
-        else:
-            memo.move_to_end(key)
-            procs, saved = stored
-            allocation = Allocation(ptg, reference, beta)
-            allocation._procs = dict(zip(arrays.task_ids_tuple, procs))
-            stats = replace(saved)
-            registry = meters.active()
-            if registry is not None:
-                registry.counter("allocation.calls").inc()
-                registry.counter("allocation.memo_hits").inc()
-                registry.counter("allocation.iterations_saved").inc(saved.iterations)
-        self.last_stats = stats
-        return allocation
+        return results

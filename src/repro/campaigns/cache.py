@@ -29,6 +29,7 @@ import json
 import os
 from typing import Dict, Iterable, Mapping, Optional, Tuple
 
+from repro.allocation.base import AllocationProcedure
 from repro.dag.graph import PTG
 from repro.dag.io import ptg_to_dict
 from repro.platform.multicluster import MultiClusterPlatform
@@ -130,13 +131,16 @@ def compute_own_makespans_cached(
     platform: MultiClusterPlatform,
     cache: OwnMakespanCache,
     platform_fp: Optional[str] = None,
+    allocator: Optional[AllocationProcedure] = None,
 ) -> Dict[str, float]:
     """Own makespan of each application, simulating only on cache misses.
 
     This is the cached counterpart of
     :func:`repro.experiments.runner.compute_own_makespans`: misses are
     scheduled and simulated exactly as the serial runner does, so a
-    cached campaign reproduces the uncached one bit for bit.
+    cached campaign reproduces the uncached one bit for bit.  Misses
+    allocate through *allocator* (default: a fresh SCRAP-MAX), which
+    must compute what the default would.
     """
     plat_fp = platform_fp or platform_fingerprint(platform)
     scheduler: Optional[SinglePTGScheduler] = None
@@ -149,7 +153,7 @@ def compute_own_makespans_cached(
             own[ptg.name] = cached
             continue
         if scheduler is None:
-            scheduler = SinglePTGScheduler()
+            scheduler = SinglePTGScheduler(allocator=allocator)
             executor = ScheduleExecutor(platform)
         result = scheduler.schedule(ptg, platform)
         report = executor.execute([ptg], result.schedule)

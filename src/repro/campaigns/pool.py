@@ -44,10 +44,14 @@ from repro.campaigns.cache import (
 )
 from repro.campaigns.shards import ExperimentShard
 from repro.constraints.registry import strategy
-from repro.experiments.runner import ExperimentResult, run_experiment
+from repro.experiments.runner import (
+    ExperimentResult,
+    prime_experiment,
+    run_experiment,
+)
 from repro.experiments.workload import make_workload
 from repro.obs import trace
-from repro.scenarios.run import build_pipeline
+from repro.scenarios.run import build_pipeline, reference_allocator_for
 
 
 @dataclass(frozen=True)
@@ -177,10 +181,18 @@ def _execute_shard_attempt(
                     for name in shard.strategy_names
                 ]
                 allocator, mapper = build_pipeline(shard.pipeline)
+                reference = reference_allocator_for(shard.pipeline, allocator)
+                # before the references allocate, so that their beta = 1
+                # joins each graph's one pass
+                prime_experiment(
+                    ptgs, shard.platform, strategies, allocator,
+                    reference=reference is not None,
+                )
                 cache = OwnMakespanCache(cache_entries)
                 own = compute_own_makespans_cached(
                     ptgs, shard.platform, cache,
                     platform_fp=platform_fingerprint(shard.platform),
+                    allocator=reference,
                 )
                 result = run_experiment(
                     ptgs,

@@ -14,7 +14,7 @@ paper used to select ``mu = 0.5`` for WPS-cp and 0.3 / 0.5 for WPS-width.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.exceptions import ConfigurationError
 from repro.experiments.workload import WorkloadSpec, make_workload
@@ -88,17 +88,22 @@ def run_mu_sweep(
 ) -> MuSweepResult:
     """Reproduce Figure 2 for one characteristic and one application family.
 
-    Each (workload, platform, mu) cell resolves through the scenario
-    plugin registries: the WPS strategy is selected by registry name,
-    the cell's ``mu`` rides on a
-    :class:`repro.scenarios.spec.PipelineSpec`, and the pipeline is
-    instantiated by :func:`repro.scenarios.run.build_pipeline`.  The
-    declarative counterpart (for registered platforms) is
-    :func:`mu_sweep_scenarios`.
+    Every part resolves through the scenario plugin registries: each
+    ``mu``'s WPS strategy is selected by registry name, its ``mu``
+    checked by a :class:`repro.scenarios.spec.PipelineSpec`, and each
+    (workload, platform) cell instantiates one pipeline with
+    :func:`repro.scenarios.run.build_pipeline`, whose allocator is
+    primed with every ``mu``'s betas: one allocation pass per graph
+    serves the cell's whole sweep.  The declarative counterpart (for
+    registered platforms) is :func:`mu_sweep_scenarios`.
     """
     # Imported lazily: repro.scenarios sits on the workload layer of
     # this package, so a top-level import here would be circular.
-    from repro.experiments.runner import compute_own_makespans, run_experiment
+    from repro.experiments.runner import (
+        compute_own_makespans,
+        prime_experiment,
+        run_experiment,
+    )
     from repro.scenarios.registry import STRATEGIES
     from repro.scenarios.run import build_pipeline
     from repro.scenarios.spec import PipelineSpec
@@ -115,12 +120,17 @@ def run_mu_sweep(
         mu_values=list(mu_values),
         ptg_counts=list(ptg_counts),
     )
+    strategies = [
+        STRATEGIES.create(strategy_name, mu=PipelineSpec(mu=float(mu)).mu, family=family)
+        for mu in mu_values
+    ]
     for count in ptg_counts:
-        unfairness_series: List[float] = []
-        makespan_series: List[float] = []
-        # workloads and reference makespans are computed once per cell and
-        # shared across mu values, so the sweep isolates the effect of mu
-        scenario: List[Tuple] = []
+        # one value per (workload, platform) cell and mu, each mu's in
+        # cell order; the workload, its reference makespans and one
+        # allocator primed with every mu's betas are shared by the cell's
+        # experiments, so the sweep isolates the effect of mu
+        unfairness_values: List[List[float]] = [[] for _ in mu_values]
+        makespan_values: List[List[float]] = [[] for _ in mu_values]
         for index in range(workloads_per_point):
             spec = WorkloadSpec(
                 family=family,
@@ -131,25 +141,18 @@ def run_mu_sweep(
             ptgs = make_workload(spec)
             for platform in platforms:
                 own = compute_own_makespans(ptgs, platform)
-                scenario.append((spec, ptgs, platform, own))
-        for mu in mu_values:
-            pipeline = PipelineSpec(mu=float(mu))
-            strategy = STRATEGIES.create(strategy_name, mu=pipeline.mu, family=family)
-            allocator, mapper = build_pipeline(pipeline)
-            unfairness_values: List[float] = []
-            makespan_values: List[float] = []
-            for spec, ptgs, platform, own in scenario:
-                experiment = run_experiment(
-                    ptgs, platform, [strategy], workload_label=spec.label(),
-                    own_makespans=own, allocator=allocator, mapper=mapper,
-                )
-                outcome = experiment.outcomes[strategy.name]
-                unfairness_values.append(outcome.unfairness)
-                makespan_values.append(outcome.mean_application_makespan)
-            unfairness_series.append(sum(unfairness_values) / len(unfairness_values))
-            makespan_series.append(sum(makespan_values) / len(makespan_values))
-        result.unfairness[count] = unfairness_series
-        result.average_makespan[count] = makespan_series
+                allocator, mapper = build_pipeline(PipelineSpec())
+                prime_experiment(ptgs, platform, strategies, allocator)
+                for position, strategy in enumerate(strategies):
+                    experiment = run_experiment(
+                        ptgs, platform, [strategy], workload_label=spec.label(),
+                        own_makespans=own, allocator=allocator, mapper=mapper,
+                    )
+                    outcome = experiment.outcomes[strategy.name]
+                    unfairness_values[position].append(outcome.unfairness)
+                    makespan_values[position].append(outcome.mean_application_makespan)
+        result.unfairness[count] = [sum(v) / len(v) for v in unfairness_values]
+        result.average_makespan[count] = [sum(v) / len(v) for v in makespan_values]
     return result
 
 

@@ -24,6 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from repro.allocation.base import AllocationProcedure
+from repro.allocation.scrap import ScrapMaxAllocator
 from repro.constraints.base import ConstraintStrategy
 from repro.constraints.registry import paper_strategies
 from repro.dag.graph import PTG
@@ -39,9 +41,10 @@ from repro.metrics.makespan import average_relative_makespan
 from repro.obs import trace
 from repro.platform.grid5000 import all_sites
 from repro.platform.multicluster import MultiClusterPlatform
-from repro.scheduler.concurrent import ConcurrentScheduler
-from repro.scheduler.single import SinglePTGScheduler
+from repro.scheduler.concurrent import ConcurrentScheduler, check_submission
+from repro.scheduler.single import SinglePTGScheduler, check_ptg
 from repro.simulate.executor import ScheduleExecutor
+from repro.utils.validation import check_max_tasks
 
 #: Signature of campaign progress callbacks: called with a short,
 #: human-readable string after each experiment (shared by the serial
@@ -98,28 +101,95 @@ def compute_own_makespans(
     return own
 
 
+def _check_experiment(
+    ptgs: Sequence[PTG], strategies: Sequence[ConstraintStrategy]
+) -> None:
+    """The checks every experiment makes first."""
+    if not ptgs:
+        raise ConfigurationError("at least one PTG is required")
+    if not strategies:
+        raise ConfigurationError("at least one strategy is required")
+
+
+def prime_experiment(
+    ptgs: Sequence[PTG],
+    platform: MultiClusterPlatform,
+    strategies: Sequence[ConstraintStrategy],
+    allocator: AllocationProcedure,
+    reference: bool = False,
+) -> None:
+    """Hand *allocator* every beta an experiment asks of it, before it allocates.
+
+    That is each strategy's betas (strategies are deterministic), plus
+    ``beta = 1`` for every graph when *reference* says the own-makespan
+    references allocate through *allocator* too.  A memoising allocator
+    then serves the whole experiment with one forked pass per graph
+    (:meth:`repro.allocation.iterative.IterativeAllocator.prime`) and
+    every later ``allocate`` is a memo hit; any other allocator ignores
+    the hint.  The inputs are checked in the order the experiment checks
+    them, so a bad one raises what it raises unprimed, and a graph a
+    strategy leaves out is skipped for the scheduler to report.
+    """
+    _check_experiment(ptgs, strategies)
+    if reference:
+        for ptg in ptgs:
+            check_ptg(ptg)
+    check_submission(ptgs)
+    wanted: Dict[str, List[float]] = {
+        ptg.name: [1.0] if reference else [] for ptg in ptgs
+    }
+    for strat in strategies:
+        betas = strat.compute_betas(ptgs, platform)
+        for name, values in wanted.items():
+            if name in betas:
+                values.append(betas[name])
+    for ptg in ptgs:
+        allocator.prime(ptg, platform, wanted[ptg.name])
+
+
 def run_experiment(
     ptgs: Sequence[PTG],
     platform: MultiClusterPlatform,
     strategies: Sequence[ConstraintStrategy],
     workload_label: str = "",
     own_makespans: Optional[Mapping[str, float]] = None,
-    allocator=None,
+    allocator: Optional[AllocationProcedure] = None,
     mapper=None,
+    reference_allocator: Optional[AllocationProcedure] = None,
 ) -> ExperimentResult:
     """Run one experiment: every strategy on one workload and one platform.
 
     *allocator* and *mapper* select the pipeline; ``None`` keeps the
     paper's defaults (SCRAP-MAX allocation, ready-list mapping with
     packing).  Instances are shared across the strategies of the
-    experiment: a built-in allocator's memo returns what its loop would.
+    experiment.
+
+    Without *own_makespans*, the allocator is primed with every beta of
+    the experiment (:func:`prime_experiment`) and the references are then
+    computed at ``beta = 1`` through *reference_allocator*: by default
+    their own SCRAP-MAX, or the experiment's when *allocator* is
+    ``None``.  Pass the experiment's allocator only when it computes
+    what that SCRAP-MAX would (registry name ``scrap-max``, see
+    :func:`repro.scenarios.run.reference_allocator_for`).  A caller
+    bringing *own_makespans* primes the allocator itself, before it
+    computes them.
     """
-    if not ptgs:
-        raise ConfigurationError("at least one PTG is required")
-    if not strategies:
-        raise ConfigurationError("at least one strategy is required")
+    if allocator is None:
+        allocator = ScrapMaxAllocator()
+        if reference_allocator is None:
+            reference_allocator = allocator
+    if own_makespans:
+        _check_experiment(ptgs, strategies)
+        own = dict(own_makespans)
+    else:
+        prime_experiment(
+            ptgs, platform, strategies, allocator,
+            reference=reference_allocator is allocator,
+        )
+        own = compute_own_makespans(
+            ptgs, platform, SinglePTGScheduler(allocator=reference_allocator)
+        )
     executor = ScheduleExecutor(platform)
-    own = dict(own_makespans) if own_makespans else compute_own_makespans(ptgs, platform)
 
     result = ExperimentResult(
         platform=platform.name,
@@ -183,6 +253,10 @@ class CampaignConfig:
     base_seed: int = 0
     max_tasks: Optional[int] = None
     pipeline: Optional["PipelineSpec"] = None  # noqa: F821 - imported lazily
+
+    def __post_init__(self) -> None:
+        """Refuse a task-count cap the workers could not generate."""
+        check_max_tasks(self.max_tasks)
 
     def resolved_platforms(self) -> List[MultiClusterPlatform]:
         """The platforms of the campaign (default: the four Grid'5000 subsets)."""
@@ -340,11 +414,12 @@ def run_campaign(
     """
     platforms = config.resolved_platforms()
     strategies = config.resolved_strategies()
-    allocator = mapper = None
+    allocator = mapper = reference = None
     if config.pipeline is not None:
-        from repro.scenarios.run import build_pipeline
+        from repro.scenarios.run import build_pipeline, reference_allocator_for
 
         allocator, mapper = build_pipeline(config.pipeline)
+        reference = reference_allocator_for(config.pipeline, allocator)
     specs = paper_workload_specs(
         config.family,
         ptg_counts=config.ptg_counts,
@@ -358,7 +433,7 @@ def run_campaign(
         for platform in platforms:
             experiment = run_experiment(
                 ptgs, platform, strategies, workload_label=spec.label(),
-                allocator=allocator, mapper=mapper,
+                allocator=allocator, mapper=mapper, reference_allocator=reference,
             )
             result.experiments.append(experiment)
             if progress is not None:

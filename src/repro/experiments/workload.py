@@ -27,6 +27,7 @@ from repro.dag.graph import PTG
 from repro.dag.strassen import paper_strassen_workload
 from repro.exceptions import ConfigurationError
 from repro.utils.rng import ensure_rng
+from repro.utils.validation import check_max_tasks
 
 #: Families recognised by :func:`make_workload`.
 APPLICATION_FAMILIES = ("random", "fft", "strassen", "mixed")
@@ -82,6 +83,7 @@ class WorkloadSpec:
                 )
         if self.n_ptgs < 1:
             raise ConfigurationError(f"n_ptgs must be positive, got {self.n_ptgs}")
+        check_max_tasks(self.max_tasks)
 
     def label(self) -> str:
         """Readable identifier used in logs and result records."""

@@ -34,11 +34,30 @@ from repro.scenarios.registry import ALLOCATORS, MAPPERS, PLATFORMS, STRATEGIES
 from repro.scenarios.spec import PipelineSpec, ScenarioSpec
 
 
+#: The allocator whose allocation at ``beta = 1`` is the own-makespan
+#: reference's: :class:`~repro.scheduler.single.SinglePTGScheduler`'s
+#: default, SCRAP-MAX with the balance stop and no efficiency guard.
+REFERENCE_ALLOCATOR = "scrap-max"
+
+
 def build_pipeline(pipeline: PipelineSpec) -> Tuple[AllocationProcedure, Mapper]:
     """Instantiate the (allocator, mapper) pair a pipeline spec names."""
     allocator = ALLOCATORS.create(pipeline.allocator)
     mapper = MAPPERS.create(pipeline.mapper, enable_packing=pipeline.packing)
     return allocator, mapper
+
+
+def reference_allocator_for(
+    pipeline: PipelineSpec, allocator: AllocationProcedure
+) -> Optional[AllocationProcedure]:
+    """*allocator*, built from *pipeline*, when it also serves the references.
+
+    Decided by the registry name the allocator was built from, so a
+    wrapped or substituted instance keeps the pipeline's answer; ``None``
+    leaves the references their own SCRAP-MAX (see
+    :func:`repro.experiments.runner.run_experiment`).
+    """
+    return allocator if pipeline.allocator == REFERENCE_ALLOCATOR else None
 
 
 def build_strategies(spec: ScenarioSpec) -> List[ConstraintStrategy]:
@@ -149,6 +168,7 @@ def run_scenario(
             own_makespans=own_makespans,
             allocator=allocator,
             mapper=mapper,
+            reference_allocator=reference_allocator_for(spec.pipeline, allocator),
         )
     finally:
         if obs_session is not None:

@@ -53,6 +53,7 @@ from repro.scenarios.registry import ALLOCATORS, FAMILIES, MAPPERS, PLATFORMS, S
 from repro.service.spec import ServiceSpec
 from repro.streaming.spec import ArrivalSpec
 from repro.utils.digest import content_digest, platform_fingerprint
+from repro.utils.validation import check_max_tasks
 
 #: Version stamp of the spec serialisation format.
 SPEC_FORMAT_VERSION = 1
@@ -98,12 +99,7 @@ class WorkloadSpec2:
             raise ConfigurationError(
                 f"n_ptgs must be a positive integer, got {self.n_ptgs!r}"
             )
-        if self.max_tasks is not None and (
-            not isinstance(self.max_tasks, int) or self.max_tasks < 1
-        ):
-            raise ConfigurationError(
-                f"max_tasks must be a positive integer or null, got {self.max_tasks!r}"
-            )
+        check_max_tasks(self.max_tasks)
         if not isinstance(self.seed, int):
             raise ConfigurationError(f"seed must be an integer, got {self.seed!r}")
 

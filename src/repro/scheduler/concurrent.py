@@ -19,7 +19,7 @@ mapper, packing on/off) reuse the same driver.
 from __future__ import annotations
 
 import time
-from typing import Dict, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.allocation.base import Allocation, AllocationProcedure
 from repro.allocation.reference import ReferenceCluster
@@ -35,6 +35,20 @@ from repro.mapping.ready_list import ReadyListMapper
 from repro.obs import meters, trace
 from repro.platform.multicluster import MultiClusterPlatform
 from repro.scheduler.result import ConcurrentScheduleResult
+
+
+def check_submission(ptgs: Sequence[PTG]) -> List[str]:
+    """The checks :meth:`ConcurrentScheduler.schedule` makes first; returns the names."""
+    if not ptgs:
+        raise ConfigurationError("at least one PTG must be submitted")
+    names = [p.name for p in ptgs]
+    if len(set(names)) != len(names):
+        raise ConfigurationError(
+            f"concurrent PTGs must have unique names, got {names}"
+        )
+    for ptg in ptgs:
+        ptg.validate()
+    return names
 
 
 class ConcurrentScheduler:
@@ -54,15 +68,7 @@ class ConcurrentScheduler:
         self, ptgs: Sequence[PTG], platform: MultiClusterPlatform
     ) -> ConcurrentScheduleResult:
         """Schedule the applications of *ptgs* concurrently on *platform*."""
-        if not ptgs:
-            raise ConfigurationError("at least one PTG must be submitted")
-        names = [p.name for p in ptgs]
-        if len(set(names)) != len(names):
-            raise ConfigurationError(
-                f"concurrent PTGs must have unique names, got {names}"
-            )
-        for ptg in ptgs:
-            ptg.validate()
+        names = check_submission(ptgs)
         if len(ptgs) > 1:
             # amortize graph compilation and the Amdahl table sweeps over
             # the whole submission (bit-identical per-graph results)

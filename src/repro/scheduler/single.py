@@ -23,6 +23,13 @@ from repro.scheduler.result import SingleScheduleResult
 from repro.utils.validation import check_fraction
 
 
+def check_ptg(ptg: PTG) -> None:
+    """The checks :meth:`SinglePTGScheduler.schedule` makes before it allocates."""
+    if ptg is None:
+        raise ConfigurationError("ptg must not be None")
+    ptg.validate()
+
+
 class SinglePTGScheduler:
     """Schedule one PTG on a dedicated platform."""
 
@@ -41,9 +48,7 @@ class SinglePTGScheduler:
         self, ptg: PTG, platform: MultiClusterPlatform
     ) -> SingleScheduleResult:
         """Allocate and map *ptg* alone on *platform*."""
-        if ptg is None:
-            raise ConfigurationError("ptg must not be None")
-        ptg.validate()
+        check_ptg(ptg)
         allocation = self.allocator.allocate(ptg, platform, beta=self.beta)
         schedule = self.mapper.map([AllocatedPTG(ptg, allocation)], platform)
         return SingleScheduleResult(

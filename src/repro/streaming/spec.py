@@ -39,6 +39,7 @@ from repro.scenarios.registry import ARRIVALS, FAMILIES
 from repro.streaming.arrivals import ArrivalProcess
 from repro.streaming.engine import Arrival
 from repro.utils.rng import ensure_rng
+from repro.utils.validation import check_max_tasks
 
 #: Stream length used when a spec names neither ``n_arrivals`` nor a trace.
 DEFAULT_N_ARRIVALS = 16
@@ -135,13 +136,7 @@ class ArrivalSpec:
             raise ConfigurationError(
                 f"tenants must be a positive integer, got {self.tenants!r}"
             )
-        if self.max_tasks is not None and (
-            not isinstance(self.max_tasks, int) or self.max_tasks < 1
-        ):
-            raise ConfigurationError(
-                f"max_tasks must be a positive integer or null, got "
-                f"{self.max_tasks!r}"
-            )
+        check_max_tasks(self.max_tasks)
         if self.trace is not None:
             trace = tuple(float(t) for t in self.trace)
             if not trace:

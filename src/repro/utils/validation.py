@@ -45,3 +45,11 @@ def check_int_at_least(name: str, value, minimum: int) -> None:
         raise ConfigurationError(
             f"{name} must be an integer >= {minimum}, got {value!r}"
         )
+
+
+def check_max_tasks(value) -> None:
+    """Require an optional task-count cap: ``None`` or an integer ``>= 1``."""
+    if value is not None and (not isinstance(value, int) or value < 1):
+        raise ConfigurationError(
+            f"max_tasks must be a positive integer or null, got {value!r}"
+        )

@@ -2,17 +2,26 @@
 
 import pytest
 
+from repro import obs
 from repro.allocation.base import Allocation
+from repro.allocation.cpa import CPAAllocator
+from repro.allocation.hcpa import HCPAAllocator
 from repro.allocation.iterative import (
     AreaConstraint,
+    ConstraintCheck,
     LevelConstraint,
     NoConstraint,
     run_iterative_allocation,
 )
 from repro.allocation.reference import ReferenceCluster
+from repro.allocation.scrap import ScrapAllocator, ScrapMaxAllocator
+from repro.dag.graph import PTG
 from repro.exceptions import AllocationError
+from repro.experiments.workload import WorkloadSpec, make_workload
+from repro.platform import grid5000
 
-from tests.conftest import make_chain_ptg, make_fork_join_ptg
+from tests.conftest import make_chain_ptg, make_fork_join_ptg, memo_hits
+from tests.oracles.allocation import run_reference_allocation
 
 
 class TestConstraintChecks:
@@ -146,3 +155,100 @@ class TestIterativeLoop:
         for task in ptg.tasks():
             if task.is_synthetic:
                 assert alloc.processors(task.task_id) == 1
+
+
+def assert_oracle(allocator, allocation, platform, beta):
+    """*allocation* and the allocator's ``last_stats`` equal the oracle's run."""
+    oracle, oracle_stats = run_reference_allocation(
+        allocation.ptg, platform, ReferenceCluster.of(platform), beta,
+        allocator.make_constraint(beta, platform.total_power_gflops),
+        use_balance_stop=allocator.use_balance_stop,
+        efficiency_threshold=allocator.efficiency_threshold,
+    )
+    assert allocation.as_dict() == oracle.as_dict()
+    assert allocator.last_stats == oracle_stats
+
+
+class CappedScrapMax(ScrapMaxAllocator):
+    """SCRAP-MAX under a custom check: no task past four processors."""
+
+    class _Check(ConstraintCheck):
+        stop_on_violation = False
+
+        def violated(self, allocation, task):
+            return allocation.processors(task.task_id) > 4
+
+    def make_constraint(self, beta, platform_power_gflops):
+        """The custom check, whatever the beta."""
+        return self._Check()
+
+
+class TestPrime:
+    """``prime`` fills the memo with what ``allocate`` would compute, and raises alike."""
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        return make_workload(
+            WorkloadSpec(family="random", n_ptgs=1, seed=23, max_tasks=20)
+        )[0]
+
+    @staticmethod
+    def passes(session):
+        """The ``allocation.iterate`` spans of one capture, as label dicts."""
+        return [s.labels for s in session.spans if s.name == "allocation.iterate"]
+
+    def test_one_pass_serves_every_beta(self, graph):
+        platform = grid5000.site("nancy")
+        allocator = ScrapMaxAllocator()
+        betas = [1.0, 0.05, 0.3, 0.05, 0.6]
+        with obs.capture() as session:
+            allocator.prime(graph, platform, betas)
+        (labels,) = self.passes(session)
+        assert labels["betas"] == "4"  # the repeated 0.05 runs once
+        assert int(labels["forks"]) >= 1
+        with obs.capture() as session:
+            for beta in betas:
+                allocation = allocator.allocate(graph, platform, beta=beta)
+                assert_oracle(allocator, allocation, platform, beta)
+        assert memo_hits(session) == len(betas)
+        assert not self.passes(session)
+
+    def test_memoised_betas_are_skipped(self, graph):
+        platform = grid5000.site("nancy")
+        allocator = ScrapMaxAllocator()
+        allocator.allocate(graph, platform, beta=0.6)
+        with obs.capture() as session:
+            allocator.prime(graph.copy(name="again"), platform, [0.6])
+        assert not self.passes(session)
+        with obs.capture() as session:
+            allocator.prime(graph, platform, [0.6, 0.25])
+        assert [labels["betas"] for labels in self.passes(session)] == ["1"]
+
+    def test_custom_checks_run_one_pass_per_beta(self, graph):
+        platform = grid5000.site("nancy")
+        allocator = CappedScrapMax()
+        with obs.capture() as session:
+            allocator.prime(graph, platform, [0.3, 0.6])
+        assert [labels["betas"] for labels in self.passes(session)] == ["1", "1"]
+        for beta in (0.3, 0.6):
+            allocation = allocator.allocate(graph, platform, beta=beta)
+            assert_oracle(allocator, allocation, platform, beta)
+
+    def test_raises_what_allocate_raises(self, graph):
+        platform = grid5000.site("nancy")
+        for allocator in (ScrapMaxAllocator(), HCPAAllocator(), ScrapAllocator()):
+            for beta in (0.0, 1.5):
+                with pytest.raises(AllocationError) as primed:
+                    allocator.prime(graph, platform, [0.5, beta])
+                with pytest.raises(AllocationError) as allocated:
+                    allocator.allocate(graph, platform, beta=beta)
+                assert str(primed.value) == str(allocated.value)
+        with pytest.raises(AllocationError, match="single-cluster"):
+            CPAAllocator().prime(graph, platform, [0.5])
+        hollow = PTG("hollow")
+        with pytest.raises(Exception) as primed:
+            ScrapMaxAllocator().prime(hollow, platform, [0.5])
+        with pytest.raises(Exception) as allocated:
+            ScrapMaxAllocator().allocate(hollow, platform, beta=0.5)
+        assert type(primed.value) is type(allocated.value)
+        assert str(primed.value) == str(allocated.value)

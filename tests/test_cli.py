@@ -290,6 +290,16 @@ class TestCampaignCommand:
         assert code == 0
         assert "Figure 3" in capsys.readouterr().out
 
+    def test_task_cap_below_one_is_refused_before_any_shard(self, capsys, tmp_path):
+        store = tmp_path / "store"
+        args = list(self.CAMPAIGN_ARGS)
+        args[args.index("--max-tasks") + 1] = "0"
+        assert main(args + ["--store", str(store)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: max_tasks must be a positive integer or null, got 0\n"
+        # no shard ran: no store, so no meta.json and no quarantine record
+        assert not store.exists()
+
     def test_store_conflict_is_a_clean_error(self, capsys, tmp_path):
         store = str(tmp_path / "store")
         assert main(self.CAMPAIGN_ARGS + ["--store", store]) == 0

@@ -1,7 +1,10 @@
 """Tests for the figure harnesses (Figures 2-5) at a reduced scale."""
 
+from collections import Counter
+
 import pytest
 
+from repro import obs
 from repro.exceptions import ConfigurationError
 from repro.experiments import runner
 from repro.experiments.figures import FIGURE_FAMILIES, run_figure
@@ -128,6 +131,23 @@ class TestMuSweep:
             assert result.average_makespan[2][position] == (
                 sum(o.mean_application_makespan for o in outcomes) / len(outcomes)
             )
+
+    def test_each_graph_of_a_cell_runs_one_forked_pass(self, tiny_platform):
+        mu_values = (0.0, 0.7, 1.0)
+        with obs.capture() as session:
+            run_mu_sweep(
+                mu_values=mu_values, ptg_counts=(2,), workloads_per_point=2,
+                platforms=[tiny_platform], base_seed=4, max_tasks=8,
+            )
+        graphs = 2 * 2  # two cells of two graphs, all differently named
+        passes = Counter(
+            s.labels["ptg"] for s in session.spans if s.name == "allocation.iterate"
+        )
+        # per graph: one pass for every mu's beta, and the reference's own
+        assert len(passes) == graphs and set(passes.values()) == {2}
+        counters = session.registry.counters
+        assert counters["allocation.memo_hits"].value == graphs * len(mu_values)
+        assert counters["allocation.calls"].value == graphs * (len(mu_values) + 1)
 
     def test_invalid_arguments(self, tiny_platform):
         with pytest.raises(ConfigurationError):

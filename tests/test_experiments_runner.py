@@ -2,8 +2,12 @@
 
 import pytest
 
-from repro.constraints.registry import strategy
-from repro.exceptions import ConfigurationError
+from repro.allocation import iterative
+from repro.allocation.scrap import ScrapMaxAllocator
+from repro.constraints.base import ConstraintStrategy
+from repro.constraints.registry import paper_strategies, strategy
+from repro.dag.graph import PTG
+from repro.exceptions import AllocationError, ConfigurationError, InvalidGraphError
 from repro.experiments.runner import (
     CampaignConfig,
     CampaignResult,
@@ -13,8 +17,15 @@ from repro.experiments.runner import (
     run_campaign,
     run_experiment,
 )
-from repro.experiments.workload import WorkloadSpec, make_workload
+from repro.experiments.workload import APPLICATION_FAMILIES, WorkloadSpec, make_workload
+from repro.metrics.fairness import slowdowns, unfairness
+from repro.platform import grid5000
 from repro.platform.builder import heterogeneous_platform
+from repro.scenarios.run import build_pipeline, reference_allocator_for
+from repro.scenarios.spec import PipelineSpec
+from repro.scheduler.concurrent import ConcurrentScheduler
+from repro.scheduler.single import SinglePTGScheduler
+from repro.simulate.executor import ScheduleExecutor
 
 
 @pytest.fixture(scope="module")
@@ -64,6 +75,158 @@ class TestRunExperiment:
             run_experiment(workload, platform, [])
 
 
+def assembled(ptgs, platform, strategies, make_allocator, make_mapper, label):
+    """The experiment put together by hand from fresh, unshared parts.
+
+    A fresh :class:`ConcurrentScheduler` (with its own allocator) per
+    strategy and a fresh default :class:`SinglePTGScheduler` for the
+    references: nothing is primed and no memo is shared.
+    """
+    own = compute_own_makespans(ptgs, platform, SinglePTGScheduler())
+    executor = ScheduleExecutor(platform)
+    result = ExperimentResult(
+        platform=platform.name, workload=label, n_ptgs=len(ptgs), own_makespans=own
+    )
+    for strat in strategies:
+        scheduler = ConcurrentScheduler(
+            strategy=strat, allocator=make_allocator(), mapper=make_mapper()
+        )
+        planned = scheduler.schedule(ptgs, platform)
+        report = executor.execute(ptgs, planned.schedule)
+        multi = report.makespans()
+        sd = slowdowns(own, multi)
+        result.outcomes[strat.name] = StrategyOutcome(
+            strategy=strat.name,
+            betas=dict(planned.betas),
+            makespans=multi,
+            slowdowns=sd,
+            unfairness=unfairness(sd),
+            batch_makespan=report.global_makespan(),
+            mean_application_makespan=sum(multi.values()) / len(multi),
+        )
+    return result
+
+
+class TestPrimedExperimentGolden:
+    """A primed, shared-memo experiment equals its unshared assembly, field for field."""
+
+    @staticmethod
+    def workload(family, seed=3):
+        return make_workload(WorkloadSpec(family, n_ptgs=3, seed=seed, max_tasks=10))
+
+    @pytest.mark.parametrize("site", grid5000.site_names())
+    @pytest.mark.parametrize("family", APPLICATION_FAMILIES)
+    def test_default_pipeline(self, family, site):
+        platform = grid5000.site(site)
+        ptgs = self.workload(family)
+        strategies = paper_strategies(family, include_width=family != "strassen")
+        expected = assembled(
+            ptgs, platform, strategies, ScrapMaxAllocator,
+            lambda: build_pipeline(PipelineSpec())[1], "golden",
+        )
+        assert run_experiment(ptgs, platform, strategies, "golden") == expected
+
+    @pytest.mark.parametrize("name", ["hcpa", "scrap", "scrap-max"])
+    def test_registry_pipelines(self, name):
+        platform = grid5000.site("nancy")
+        ptgs = self.workload("random", seed=8)
+        strategies = paper_strategies("random")
+        pipeline = PipelineSpec(allocator=name)
+        allocator, mapper = build_pipeline(pipeline)
+        # only SCRAP-MAX computes the references' allocation: the others
+        # keep the references on their own allocator
+        reference = reference_allocator_for(pipeline, allocator)
+        assert (reference is allocator) == (name == "scrap-max")
+        expected = assembled(
+            ptgs, platform, strategies, lambda: build_pipeline(pipeline)[0],
+            lambda: mapper, "golden",
+        )
+        actual = run_experiment(
+            ptgs, platform, strategies, "golden", allocator=allocator,
+            mapper=mapper, reference_allocator=reference,
+        )
+        assert actual == expected
+
+    def test_guarded_allocator_keeps_the_references_apart(self):
+        platform = grid5000.site("rennes")
+        ptgs = self.workload("fft", seed=4)
+        strategies = paper_strategies("fft")
+        guarded = lambda: ScrapMaxAllocator(efficiency_threshold=0.6)  # noqa: E731
+        # the guard changes the beta = 1 allocation, so a shared reference
+        # would show in the own makespans
+        assert compute_own_makespans(
+            ptgs, platform, SinglePTGScheduler(guarded())
+        ) != compute_own_makespans(ptgs, platform)
+        expected = assembled(
+            ptgs, platform, strategies, guarded,
+            lambda: build_pipeline(PipelineSpec())[1], "golden",
+        )
+        actual = run_experiment(ptgs, platform, strategies, "golden", allocator=guarded())
+        assert actual == expected
+
+    def test_evicted_primes_still_equal(self, monkeypatch):
+        monkeypatch.setattr(iterative, "MEMO_CAPACITY", 4)
+        platform = grid5000.site("sophia")
+        ptgs = self.workload("mixed", seed=6)
+        strategies = paper_strategies("mixed")
+        expected = assembled(
+            ptgs, platform, strategies, ScrapMaxAllocator,
+            lambda: build_pipeline(PipelineSpec())[1], "golden",
+        )
+        assert run_experiment(ptgs, platform, strategies, "golden") == expected
+
+
+class FixedBeta(ConstraintStrategy):
+    """One beta for every graph, except an optional one left out."""
+
+    name = "fixed"
+
+    def __init__(self, beta, skip=None):
+        self.beta = beta
+        self.skip = skip
+
+    def compute_betas(self, ptgs, platform):
+        """*beta* for every graph but the skipped one."""
+        return {p.name: self.beta for p in ptgs if p.name != self.skip}
+
+
+class TestPrimingErrorContract:
+    """A bad input raises the class and message it raised before priming."""
+
+    def test_duplicate_names(self, platform, workload):
+        ptgs = [workload[0], workload[1], workload[0].copy()]
+        with pytest.raises(ConfigurationError) as info:
+            run_experiment(ptgs, platform, [strategy("ES")])
+        names = [p.name for p in ptgs]
+        assert str(info.value) == f"concurrent PTGs must have unique names, got {names}"
+
+    def test_empty_ptg(self, platform, workload):
+        with pytest.raises(InvalidGraphError) as info:
+            run_experiment([workload[0], PTG("hollow")], platform, [strategy("ES")])
+        assert str(info.value) == "PTG 'hollow' is empty"
+
+    def test_none_ptg(self, platform, workload):
+        with pytest.raises(ConfigurationError) as info:
+            run_experiment([workload[0], None], platform, [strategy("ES")])
+        assert str(info.value) == "ptg must not be None"
+
+    def test_strategy_leaving_a_graph_out(self, platform, workload):
+        left_out = workload[1].name
+        with pytest.raises(ConfigurationError) as info:
+            run_experiment(
+                workload, platform, [strategy("S"), FixedBeta(0.5, skip=left_out)]
+            )
+        assert str(info.value) == (
+            f"strategy 'fixed' did not assign a constraint to {[left_out]}"
+        )
+
+    @pytest.mark.parametrize("beta", [0.0, 1.5])
+    def test_beta_out_of_range(self, platform, workload, beta):
+        with pytest.raises(AllocationError) as info:
+            run_experiment(workload, platform, [strategy("ES"), FixedBeta(beta)])
+        assert str(info.value) == f"beta must be in (0, 1], got {beta}"
+
+
 class TestCampaign:
     def test_small_campaign_aggregates(self, platform):
         config = CampaignConfig(
@@ -107,6 +270,13 @@ class TestCampaign:
         assert [p.name for p in config.resolved_platforms()] == [
             "lille", "nancy", "rennes", "sophia",
         ]
+
+    @pytest.mark.parametrize("max_tasks", [0, -5])
+    def test_task_cap_below_one_is_refused(self, max_tasks):
+        with pytest.raises(ConfigurationError, match=(
+            f"max_tasks must be a positive integer or null, got {max_tasks}"
+        )):
+            CampaignConfig(max_tasks=max_tasks)
 
     def test_missing_count_query_raises(self, platform):
         result = CampaignResult(config=CampaignConfig())

@@ -31,6 +31,13 @@ class TestWorkloadSpec:
         with pytest.raises(ConfigurationError):
             WorkloadSpec(n_ptgs=0)
 
+    @pytest.mark.parametrize("max_tasks", [0, -5])
+    def test_invalid_task_cap(self, max_tasks):
+        with pytest.raises(ConfigurationError, match=(
+            f"max_tasks must be a positive integer or null, got {max_tasks}"
+        )):
+            WorkloadSpec(max_tasks=max_tasks)
+
 
 class TestMakeWorkload:
     @pytest.mark.parametrize("family", APPLICATION_FAMILIES)

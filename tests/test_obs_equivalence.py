@@ -98,6 +98,32 @@ def test_allocation_stats_are_bit_identical_with_telemetry_on():
     assert counters["allocation.iterations_saved"].value == baseline_stats.iterations
 
 
+def test_a_primed_experiment_runs_one_pass_per_graph():
+    from repro.experiments.runner import run_experiment
+
+    platform = grid5000.rennes()
+    strategies = [strategy(name) for name in ("S", "ES", "WPS-work")]
+    baseline = run_experiment(make_ptgs(), platform, strategies)
+    with obs.capture() as session:
+        traced = run_experiment(make_ptgs(), platform, strategies)
+    assert traced == baseline
+
+    counters = {name: c.value for name, c in session.registry.counters.items()}
+    # every allocate call -- 3 references and 3 strategies x 3 graphs --
+    # is answered by the memo the passes filled
+    assert counters["allocation.calls"] == 12
+    assert counters["allocation.memo_hits"] == 12
+    passes = [s.labels for s in session.spans if s.name == "allocation.iterate"]
+    assert [labels["ptg"] for labels in passes] == ["app-0", "app-1", "app-2"]
+    # S shares beta = 1 with the reference: three betas per graph, parted twice
+    assert [(labels["betas"], labels["forks"]) for labels in passes] == [("3", "2")] * 3
+    # the iterations the passes ran, each shared one counted once, against
+    # the iterations the twelve answers' own runs take
+    assert counters["allocation.iterations"] == 1281
+    assert sum(int(labels["iterations"]) for labels in passes) == 1281
+    assert counters["allocation.iterations_saved"] == 2875
+
+
 def test_scenario_results_are_bit_identical_with_telemetry_on():
     spec = (
         Scenario.on("rennes")
