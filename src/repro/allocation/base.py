@@ -224,5 +224,16 @@ class AllocationProcedure(abc.ABC):
         betas (:meth:`repro.allocation.iterative.IterativeAllocator.prime`).
         """
 
+    def memoised(
+        self, ptg: PTG, platform: MultiClusterPlatform, beta: float = 1.0
+    ) -> bool:
+        """True when :meth:`allocate` would answer these arguments from a memo.
+
+        A query that never allocates; the concurrent scheduler builds
+        Amdahl tables only for the graphs it answers ``False`` for.  The
+        default keeps no memo.
+        """
+        return False
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}()"

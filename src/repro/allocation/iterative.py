@@ -264,7 +264,7 @@ def _run_pass(
     # the counters are derived after the loop, so telemetry adds no
     # per-iteration work -- disabled or enabled.
     with trace.span("allocation.iterate", ptg=ptg.name) as obs_span:
-        results, ran, forks = run_fused_loop(
+        results, ran, forks, walks = run_fused_loop(
             state,
             members,
             use_balance_stop=use_balance_stop,
@@ -275,10 +275,11 @@ def _run_pass(
         registry = meters.active()
         if registry is not None:
             obs_span.annotate(
-                betas=len(members), forks=forks,
+                betas=len(members), forks=forks, walks=walks,
                 iterations=ran.iterations, increments=ran.increments,
             )
             registry.counter("allocation.iterations").inc(ran.iterations)
+            registry.counter("allocation.walks").inc(walks)
             registry.counter("allocation.increments").inc(ran.increments)
             registry.counter("allocation.frozen_tasks").inc(ran.frozen_tasks)
             stopped = sum(stats.stopped_by_constraint for _, stats in results)
@@ -374,6 +375,26 @@ class IterativeAllocator(AllocationProcedure):
         _count_call()
         self.last_stats = stats
         return _allocation(ptg, reference, beta, procs)
+
+    def memoised(
+        self, ptg: PTG, platform: MultiClusterPlatform, beta: float = 1.0
+    ) -> bool:
+        """True when :meth:`allocate` would answer these arguments from the memo.
+
+        ``False`` for arguments :meth:`allocate` refuses, which it then
+        raises for when it gets to them.
+        """
+        power = platform.total_power_gflops
+        try:
+            self.check_platform(platform)
+            constraint = self.make_constraint(beta, power)
+        except AllocationError:
+            return False
+        reference = ReferenceCluster.of(platform)
+        key = self._key(
+            ptg, reference, reference.max_allocation(platform), power, beta, constraint
+        )
+        return key in self._memo
 
     def prime(
         self, ptg: PTG, platform: MultiClusterPlatform, betas: Iterable[float]

@@ -62,6 +62,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 #: is purely a performance knob.
 SMALL_GRAPH_CUTOFF = 512
 
+_NEG_INF = float("-inf")
+
 
 @dataclass(frozen=True, eq=False)
 class DagArrays:
@@ -294,39 +296,50 @@ class DagArrays:
             bl[v] = durations[v] + best
         return bl
 
-    def critical_path_py(self, bl: List[float]) -> List[int]:
-        """Critical-path walk over a Python bottom-level list.
+    def critical_path_py(self, bl: List[float]) -> Tuple[List[int], float]:
+        """Critical-path walk over a Python bottom-level list, with its lead.
 
-        Indices along one critical path, from entry to exit, with the
-        tie-breaks of :meth:`repro.dag.graph.PTG.critical_path`: the entry
-        (and each successor step) with the maximal bottom level wins,
-        ties going to the smallest task id.  The allocation loop
-        (:mod:`repro.allocation.fastloop`) walks it once per iteration.
+        Returns the indices along one critical path, from entry to exit,
+        with the tie-breaks of :meth:`repro.dag.graph.PTG.critical_path`:
+        the entry (and each successor step) with the maximal bottom level
+        wins, ties going to the smallest task id.  The *lead* is the
+        smallest margin by which a choice beat its runner-up, over the
+        entry pick and every step out of a task with several successors:
+        ``0.0`` on a tie, ``inf`` when the walk never chooses.  The
+        allocation loop (:mod:`repro.allocation.fastloop`) reuses the
+        path while the lead proves that a new walk would return it.
         """
-        if self.n_tasks == 0:
-            return []
         task_ids = self.task_ids_tuple
         current = best_tid = None
-        best = float("-inf")
+        best = second = _NEG_INF
         for i in self.entries_tuple:
             w = bl[i]
             tid = task_ids[i]
             if w > best or (w == best and tid < best_tid):
+                second = best
                 best, best_tid, current = w, tid, i
+            elif w > second:
+                second = w
+        lead = best - second
         path = [current]
         succ_of = self.succ_tuples
         succs = succ_of[current]
         while succs:
             # adjacency is tid-sorted, so the first maximal bottom level
             # is the smallest-tid tie-break of the reference walk
-            best = float("-inf")
+            best = second = _NEG_INF
             for s in succs:
                 w = bl[s]
                 if w > best:
+                    second = best
                     best, current = w, s
+                elif w > second:
+                    second = w
+            if best - second < lead:
+                lead = best - second
             path.append(current)
             succs = succ_of[current]
-        return path
+        return path, lead
 
 
 

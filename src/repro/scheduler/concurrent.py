@@ -41,6 +41,8 @@ def check_submission(ptgs: Sequence[PTG]) -> List[str]:
     """The checks :meth:`ConcurrentScheduler.schedule` makes first; returns the names."""
     if not ptgs:
         raise ConfigurationError("at least one PTG must be submitted")
+    if any(ptg is None for ptg in ptgs):
+        raise ConfigurationError("ptg must not be None")
     names = [p.name for p in ptgs]
     if len(set(names)) != len(names):
         raise ConfigurationError(
@@ -70,13 +72,9 @@ class ConcurrentScheduler:
         """Schedule the applications of *ptgs* concurrently on *platform*."""
         names = check_submission(ptgs)
         if len(ptgs) > 1:
-            # amortize graph compilation and the Amdahl table sweeps over
-            # the whole submission (bit-identical per-graph results)
+            # amortize graph compilation over the whole submission
+            # (bit-identical per-graph results)
             compile_arrays_batch(ptgs)
-            reference = ReferenceCluster.of(platform)
-            prepare_allocation_tables(
-                ptgs, reference, reference.max_allocation(platform)
-            )
 
         # per-phase timers only tick while a metrics registry is active;
         # the disabled path adds two None checks per schedule() call
@@ -93,6 +91,19 @@ class ConcurrentScheduler:
                     f"strategy {self.strategy.name!r} did not assign a constraint "
                     f"to {missing}"
                 )
+            if len(ptgs) > 1:
+                # amortize the Amdahl table sweeps over the graphs the
+                # allocator will run its loop on; a primed allocator
+                # answers every graph from its memo and reads no table
+                looping = [
+                    ptg for ptg in ptgs
+                    if not self.allocator.memoised(ptg, platform, betas[ptg.name])
+                ]
+                if looping:
+                    reference = ReferenceCluster.of(platform)
+                    prepare_allocation_tables(
+                        looping, reference, reference.max_allocation(platform)
+                    )
 
             started = time.perf_counter() if registry is not None else 0.0
             allocations: Dict[str, Allocation] = {}

@@ -38,6 +38,7 @@ fixed arrival list is bit-identical to that replay, chunking included.
 from __future__ import annotations
 
 import heapq
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -77,9 +78,11 @@ class Arrival:
     tenant: str = ""
 
     def __post_init__(self) -> None:
-        if self.time < 0:
+        # a NaN or infinite instant would break the session's time order
+        # for good, and NaN slips past a plain sign test
+        if not (math.isfinite(self.time) and self.time >= 0):
             raise ConfigurationError(
-                f"submission time must be non-negative, got {self.time}"
+                f"submission time must be finite and non-negative, got {self.time}"
             )
 
 

@@ -13,6 +13,16 @@ from repro.exceptions import InvalidGraphError
 from repro.platform import grid5000
 
 
+def brute_force_lead(arrays, bl, path):
+    """Smallest gap between the best and second-best option of every choice on *path*."""
+    gaps = []
+    for options in [arrays.entries_tuple] + [arrays.succ_tuples[v] for v in path[:-1]]:
+        if len(options) > 1:
+            first, second = sorted((bl[i] for i in options), reverse=True)[:2]
+            gaps.append(first - second)
+    return min(gaps, default=float("inf"))
+
+
 def diamond():
     """entry(0) -> {1, 2} -> exit(3), with distinct costs."""
     g = PTG("diamond")
@@ -207,9 +217,10 @@ class TestBottomLevels:
         expected = g.critical_path(time_fn)
         durations = np.array([time_fn(t) for t in g.tasks()])
         bl = arrays.bottom_levels(durations).tolist()
-        path = arrays.critical_path_py(bl)
+        path, lead = arrays.critical_path_py(bl)
         assert [arrays.task_ids_tuple[i] for i in path] == expected
         assert bl[path[0]] == max(bl) == g.critical_path_length(time_fn)
+        assert lead == brute_force_lead(arrays, bl, path)
 
     def test_tie_break_prefers_smallest_tid(self):
         # two parallel middle tasks with identical costs: the reference
@@ -226,8 +237,10 @@ class TestBottomLevels:
         arrays = g.arrays()
         durations = np.array([time_fn(t) for t in g.tasks()])
         bl = arrays.bottom_levels(durations)
-        path = [arrays.task_ids_tuple[i] for i in arrays.critical_path_py(bl.tolist())]
+        indices, lead = arrays.critical_path_py(bl.tolist())
+        path = [arrays.task_ids_tuple[i] for i in indices]
         assert path == g.critical_path(time_fn) == [0, 3, 7]
+        assert lead == 0.0  # the tie is the walk's only choice
 
     def test_walk_picks_the_entry_with_the_largest_bottom_level(self):
         # two entries (bl 4 s and 1.5 s) joining one exit
@@ -240,6 +253,17 @@ class TestBottomLevels:
         arrays = g.arrays()
         time_fn = lambda t: t.execution_time(1, 1e9)
         bl = arrays.bottom_levels_py([time_fn(t) for t in g.tasks()])
-        path = arrays.critical_path_py(bl)
+        path, lead = arrays.critical_path_py(bl)
         assert path == [1, 2]
         assert g.critical_path(time_fn) == [1, 2]
+        assert lead == 4.0 - 1.5  # the entry pick beat its runner-up by 2.5 s
+
+    def test_a_walk_without_choices_has_an_infinite_lead(self):
+        g = PTG("chain")
+        for tid in range(3):
+            g.add_task(Task(tid, 1e9 * (tid + 1), 0.0))
+            if tid:
+                g.add_edge(tid - 1, tid, 0.0)
+        arrays = g.arrays()
+        bl = arrays.bottom_levels_py([t.execution_time(1, 1e9) for t in g.tasks()])
+        assert arrays.critical_path_py(bl) == ([0, 1, 2], float("inf"))

@@ -23,6 +23,7 @@ from repro.platform import grid5000
 from repro.platform.builder import heterogeneous_platform
 from repro.scenarios.run import build_pipeline, reference_allocator_for
 from repro.scenarios.spec import PipelineSpec
+from repro.scheduler import concurrent
 from repro.scheduler.concurrent import ConcurrentScheduler
 from repro.scheduler.single import SinglePTGScheduler
 from repro.simulate.executor import ScheduleExecutor
@@ -164,6 +165,29 @@ class TestPrimedExperimentGolden:
         actual = run_experiment(ptgs, platform, strategies, "golden", allocator=guarded())
         assert actual == expected
 
+    def test_primed_experiment_builds_no_allocation_tables(self, monkeypatch):
+        platform = grid5000.site("lille")
+        ptgs = self.workload("random", seed=5)
+        strategies = paper_strategies("random")
+        sweeps = []
+        sweep = concurrent.prepare_allocation_tables
+
+        def counted(graphs, reference, cap):
+            sweeps.append([ptg.name for ptg in graphs])
+            sweep(graphs, reference, cap)
+
+        monkeypatch.setattr(concurrent, "prepare_allocation_tables", counted)
+        # fresh allocators miss: every schedule() sweeps the whole workload
+        expected = assembled(
+            ptgs, platform, strategies, ScrapMaxAllocator,
+            lambda: build_pipeline(PipelineSpec())[1], "golden",
+        )
+        assert sweeps == [[ptg.name for ptg in ptgs]] * len(strategies)
+        # the primed experiment answers every allocation from the memo
+        sweeps.clear()
+        assert run_experiment(ptgs, platform, strategies, "golden") == expected
+        assert sweeps == []
+
     def test_evicted_primes_still_equal(self, monkeypatch):
         monkeypatch.setattr(iterative, "MEMO_CAPACITY", 4)
         platform = grid5000.site("sophia")
@@ -208,6 +232,14 @@ class TestPrimingErrorContract:
     def test_none_ptg(self, platform, workload):
         with pytest.raises(ConfigurationError) as info:
             run_experiment([workload[0], None], platform, [strategy("ES")])
+        assert str(info.value) == "ptg must not be None"
+
+    def test_none_ptg_with_own_makespans(self, platform, workload):
+        own = {workload[0].name: 1.0}
+        with pytest.raises(ConfigurationError) as info:
+            run_experiment(
+                [workload[0], None], platform, [strategy("ES")], own_makespans=own
+            )
         assert str(info.value) == "ptg must not be None"
 
     def test_strategy_leaving_a_graph_out(self, platform, workload):

@@ -121,6 +121,10 @@ def test_a_primed_experiment_runs_one_pass_per_graph():
     # the iterations the twelve answers' own runs take
     assert counters["allocation.iterations"] == 1281
     assert sum(int(labels["iterations"]) for labels in passes) == 1281
+    # the critical-path walks those iterations made: the loop reuses the
+    # path after a freeze and while the last walk's lead proves it
+    assert counters["allocation.walks"] == 562
+    assert [labels["walks"] for labels in passes] == ["366", "72", "124"]
     assert counters["allocation.iterations_saved"] == 2875
 
 

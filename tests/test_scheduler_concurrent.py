@@ -58,6 +58,12 @@ class TestConcurrentScheduler:
         with pytest.raises(ConfigurationError):
             ConcurrentScheduler().schedule([], medium_platform)
 
+    def test_none_graph_rejected(self, medium_platform, random_workload):
+        with pytest.raises(ConfigurationError, match="^ptg must not be None$"):
+            ConcurrentScheduler().schedule(
+                [random_workload[0], None], medium_platform
+            )
+
     def test_duplicate_names_rejected(self, medium_platform):
         ptgs = [make_chain_ptg("same"), make_chain_ptg("same")]
         with pytest.raises(ConfigurationError):

@@ -13,10 +13,13 @@ the same invariant.
 from __future__ import annotations
 
 import asyncio
+import json
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.dag.io import ptg_to_dict
 from repro.service.app import Request, ServiceApp
 from repro.streaming.engine import Arrival, StreamSession
 from repro.streaming.run import schedule_to_rows
@@ -28,6 +31,7 @@ from service_harness import (
     make_arrivals,
     make_service_spec,
     replay_rows,
+    submit_request,
 )
 
 
@@ -129,6 +133,31 @@ def test_out_of_order_submission_is_rejected_not_admitted():
     rows = asyncio.run(run())
     # only the accepted application was scheduled
     assert {row[0] for row in rows["solo"]} == {"late"}
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_submission_time_is_refused(literal):
+    """A NaN or infinite instant answers 400 and leaves the tenant serving."""
+    spec = make_service_spec()
+    # json.loads accepts these literals, as the daemon's decoder does
+    body = json.loads(
+        '{"tenant": "solo", "time": %s, "ptg": %s}'
+        % (literal, json.dumps(ptg_to_dict(chain_ptg("odd"))))
+    )
+
+    async def run():
+        app = ServiceApp(spec)
+        refused = await app.handle(Request("POST", "/submit", body=body))
+        assert refused.status == 400
+        assert "finite" in refused.body["error"]
+        accepted = await app.handle(submit_request("solo", 5.0, chain_ptg("odd")))
+        assert accepted.status == 202, accepted.body
+        rows = await all_tenant_rows(app)
+        await app.stop()
+        return rows
+
+    rows = asyncio.run(run())
+    assert {row[0] for row in rows["solo"]} == {"odd"}
 
 
 # --------------------------------------------------------------------- #

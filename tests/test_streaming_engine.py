@@ -23,6 +23,13 @@ class TestAdmission:
         with pytest.raises(ConfigurationError):
             session.admit(Arrival(make_chain_ptg("early", n=2), 50.0))
 
+    @pytest.mark.parametrize(
+        "at", [float("nan"), float("inf"), float("-inf"), -1.0], ids=str
+    )
+    def test_submission_time_must_be_finite_and_non_negative(self, at):
+        with pytest.raises(ConfigurationError, match="finite and non-negative"):
+            Arrival(make_chain_ptg("bad", n=2), at)
+
     def test_duplicate_names_rejected_across_batches(self, medium_platform):
         session = StreamSession(medium_platform)
         session.feed([Arrival(make_chain_ptg("same", n=2), 0.0)])
