@@ -170,7 +170,7 @@ from repro.scenarios import (
     Scenario,
     ScenarioResult,
     ScenarioSpec,
-    WorkloadSpec2,
+    WorkloadSpec,
     run_scenario,
     run_scenarios,
 )
@@ -263,7 +263,7 @@ __all__ = [
     "REGISTRIES",
     "ScenarioSpec",
     "PipelineSpec",
-    "WorkloadSpec2",
+    "WorkloadSpec",
     "Scenario",
     "ScenarioResult",
     "run_scenario",

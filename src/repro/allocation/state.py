@@ -24,10 +24,7 @@ scratch through per-task method calls -- including the construction of an
   SCRAP-MAX's per-level power single built-in ``sum`` calls instead of
   per-task method-call cascades,
 * the critical-path DP over the precomputed topology of the shared
-  :class:`~repro.dag.arrays.DagArrays` compilation -- the vectorized
-  level-batched pass for large graphs, or its bit-identical scalar
-  specialization below :data:`~repro.dag.arrays.SMALL_GRAPH_CUTOFF`
-  tasks, where NumPy dispatch overhead would dominate.
+  :class:`~repro.dag.arrays.DagArrays` compilation.
 
 Exactness
 ---------
@@ -51,7 +48,6 @@ import numpy as np
 
 from repro.allocation.base import Allocation
 from repro.allocation.reference import ReferenceCluster
-from repro.dag.arrays import SMALL_GRAPH_CUTOFF
 from repro.dag.graph import PTG
 from repro.exceptions import AllocationError
 
@@ -254,16 +250,8 @@ class AllocationState:
     # graph quantities under the current allocation
     # ------------------------------------------------------------------ #
     def bottom_levels(self) -> List[float]:
-        """Bottom levels under the current durations, as a Python list.
-
-        Uses the vectorized level-batched DP of
-        :meth:`~repro.dag.arrays.DagArrays.bottom_levels` for large
-        graphs and its bit-identical scalar specialization below
-        :data:`~repro.dag.arrays.SMALL_GRAPH_CUTOFF` tasks.
-        """
-        if self.arrays.n_tasks >= SMALL_GRAPH_CUTOFF:
-            return self.arrays.bottom_levels(np.array(self.durations)).tolist()
-        return self.arrays.bottom_levels_py(self.durations)
+        """Bottom levels under the current durations, as a Python list."""
+        return self.arrays.bottom_levels(self.durations)
 
     # ------------------------------------------------------------------ #
     # export

@@ -149,7 +149,7 @@ class ExperimentShard:
             )
         return cls(
             index=index,
-            spec=scenario.workload.to_workload_spec(),
+            spec=scenario.workload,
             platform=PLATFORMS.create(scenario.platform),
             strategy_names=scenario.resolved_strategy_names(),
             pipeline=scenario.pipeline,

@@ -9,16 +9,16 @@ times.  This module compiles a PTG **once** into flat NumPy arrays:
   which is also the order the reference formulations fold their floating
   point sums in),
 * CSR predecessor / successor adjacency, with each adjacency list sorted
-  by task id so vectorized arg-max tie-breaks match the reference
+  by task id so the critical-path walk's tie-breaks match the reference
   ``sorted()``-based ones,
 * the cached **topological order** and **precedence levels** of the
   graph, plus the per-level member lists in exactly the order
   ``PTG.tasks_by_level()`` produces them,
 * per-task ``flops`` / ``alpha`` / synthetic flags, so Amdahl timings can
   be evaluated as vectorized table lookups,
-* a level-batched **DP plan** that lets the bottom-level recursion run as
-  one :func:`numpy.maximum.reduceat` pass per precedence level instead of
-  a Python loop over tasks and dict lookups.
+* plain-Python tuple mirrors of the adjacency and the reverse
+  topological order, over which the bottom-level DP and the
+  critical-path walk run without dict lookups or NumPy dispatch.
 
 The compiled object is immutable and cached on the graph
 (:meth:`~repro.dag.graph.PTG.arrays`); any structural mutation of the PTG
@@ -54,13 +54,6 @@ from repro.exceptions import InvalidGraphError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.dag.graph import PTG
-
-#: Below this task count the scalar (Python-list) DP specializations beat
-#: the vectorized ones: a 50-task graph needs ~150 trivial float
-#: operations per pass, which is cheaper than ~4 NumPy dispatches per
-#: precedence level.  Both formulations are bit-identical, so the cutoff
-#: is purely a performance knob.
-SMALL_GRAPH_CUTOFF = 512
 
 _NEG_INF = float("-inf")
 
@@ -142,7 +135,7 @@ class DagArrays:
         ]
 
     # ------------------------------------------------------------------ #
-    # plain-Python mirrors (cached; cheap scalar access for small graphs)
+    # plain-Python mirrors (cached; cheap scalar access without NumPy boxing)
     # ------------------------------------------------------------------ #
     @cached_property
     def task_ids_tuple(self) -> Tuple[int, ...]:
@@ -212,40 +205,6 @@ class DagArrays:
         return hashlib.sha256(b"".join(parts)).digest()
 
     @cached_property
-    def dp_plan(
-        self,
-    ) -> Tuple[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], ...]:
-        """Level-batched plan for the reverse (bottom-level) DP.
-
-        One ``(with_succ, reduce_offsets, succ_flat, without_succ)`` tuple
-        per precedence level, deepest level first.  Built lazily: small
-        graphs that only ever run the scalar
-        :meth:`bottom_levels_py` specialization never pay for it.
-        """
-        succ_ptr, succ_idx = self.succ_ptr, self.succ_idx
-        level_members, level_offsets = self.level_members, self.level_offsets
-        plan: List[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
-        for level in range(self.depth - 1, -1, -1):
-            nodes = level_members[level_offsets[level] : level_offsets[level + 1]]
-            counts = succ_ptr[nodes + 1] - succ_ptr[nodes]
-            with_succ = nodes[counts > 0]
-            without_succ = nodes[counts == 0]
-            if with_succ.size:
-                succ_flat = np.concatenate(
-                    [succ_idx[succ_ptr[i] : succ_ptr[i + 1]] for i in with_succ]
-                )
-                offsets = np.zeros(with_succ.size, dtype=np.int64)
-                np.cumsum(
-                    (succ_ptr[with_succ + 1] - succ_ptr[with_succ])[:-1],
-                    out=offsets[1:],
-                )
-            else:
-                succ_flat = np.empty(0, dtype=np.int64)
-                offsets = np.empty(0, dtype=np.int64)
-            plan.append((with_succ, offsets, succ_flat, without_succ))
-        return tuple(plan)
-
-    @cached_property
     def level_tuples(self) -> Tuple[Tuple[int, ...], ...]:
         """Per-level member tuples in ``tasks_by_level`` order."""
         ptr, members = self.level_offsets.tolist(), self.level_members.tolist()
@@ -254,36 +213,17 @@ class DagArrays:
         )
 
     # ------------------------------------------------------------------ #
-    # vectorized graph algorithms
+    # graph algorithms
     # ------------------------------------------------------------------ #
-    def bottom_levels(self, durations: np.ndarray) -> np.ndarray:
+    def bottom_levels(self, durations: List[float]) -> List[float]:
         """Bottom level of every task under the given *durations*.
 
-        Implements ``bl(v) = T(v) + max_{w in succ(v)} bl(w)`` as one
-        vectorized :func:`numpy.maximum.reduceat` pass per precedence
-        level (deepest first), which is valid because every successor
-        lives at a strictly deeper level.  The additions follow the exact
-        scalar operation order of :meth:`repro.dag.graph.PTG.bottom_levels`
-        with no communication function, so the resulting floats are
-        bit-identical to the dict-based recursion.
-        """
-        bl = np.zeros(self.n_tasks, dtype=np.float64)
-        for with_succ, offsets, succ_flat, without_succ in self.dp_plan:
-            if without_succ.size:
-                bl[without_succ] = durations[without_succ]
-            if with_succ.size:
-                best = np.maximum.reduceat(bl[succ_flat], offsets)
-                bl[with_succ] = durations[with_succ] + np.maximum(best, 0.0)
-        return bl
-
-    def bottom_levels_py(self, durations: List[float]) -> List[float]:
-        """Scalar bottom-level DP over Python lists (small-graph fast path).
-
-        Bit-identical to :meth:`bottom_levels` -- it performs the very
-        same additions and (exact) maxima in reverse topological order --
-        but avoids all NumPy dispatch overhead, which dominates on graphs
-        below :data:`SMALL_GRAPH_CUTOFF` tasks.  *durations* and the
-        result are plain Python lists indexed like :attr:`task_ids`.
+        Implements ``bl(v) = T(v) + max_{w in succ(v)} bl(w)`` in reverse
+        topological order, with the exact operation order of
+        :meth:`repro.dag.graph.PTG.bottom_levels` without a communication
+        function, so the resulting floats are bit-identical to the
+        dict-based recursion.  *durations* and the result are plain
+        Python lists indexed like :attr:`task_ids`.
         """
         bl = [0.0] * self.n_tasks
         succ_of = self.succ_tuples
@@ -393,8 +333,8 @@ def _gather(ptg: "PTG") -> Dict[str, object]:
         level_members.extend(members)
         level_offsets.append(len(level_members))
 
-    # CSR adjacency, each list sorted by neighbour task id so vectorized
-    # argmax tie-breaks match the reference sorted() iteration
+    # CSR adjacency, each list sorted by neighbour task id so the walks'
+    # tie-breaks match the reference sorted() iteration
     pred_ptr: List[int] = [0]
     succ_ptr: List[int] = [0]
     pred_idx: List[int] = []

@@ -299,7 +299,7 @@ class CampaignConfig:
         on ad-hoc platform objects cannot be expressed declaratively.
         """
         from repro.scenarios.registry import PLATFORMS
-        from repro.scenarios.spec import ScenarioSpec, WorkloadSpec2
+        from repro.scenarios.spec import ScenarioSpec
 
         platforms = self.resolved_platforms()
         for platform in platforms:
@@ -323,7 +323,7 @@ class CampaignConfig:
                 specs.append(
                     ScenarioSpec(
                         platform=platform.name,
-                        workload=WorkloadSpec2.from_workload_spec(workload),
+                        workload=workload,
                         pipeline=pipeline,
                         strategies=strategy_names,
                     )

@@ -18,8 +18,8 @@ fairness strategies on heterogeneous competitor sets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence
 
 from repro.dag.fft import paper_fft_workload
 from repro.dag.generator import generate_random_workload, RandomPTGConfig
@@ -27,7 +27,7 @@ from repro.dag.graph import PTG
 from repro.dag.strassen import paper_strassen_workload
 from repro.exceptions import ConfigurationError
 from repro.utils.rng import ensure_rng
-from repro.utils.validation import check_max_tasks
+from repro.utils.validation import check_int_at_least, check_known_keys, check_max_tasks
 
 #: Families recognised by :func:`make_workload`.
 APPLICATION_FAMILIES = ("random", "fft", "strassen", "mixed")
@@ -44,24 +44,16 @@ PAPER_PTG_COUNTS = (2, 4, 6, 8, 10)
 PAPER_WORKLOADS_PER_POINT = 25
 
 
-def _plugin_families():
-    """The family plugin registry, or ``None`` while it is bootstrapping.
-
-    Imported lazily because :mod:`repro.scenarios.registry` imports this
-    module to build its built-in entries; once that import completes,
-    the registry is the authority on which families exist (including
-    third-party ones registered through the plugin API).
-    """
-    try:
-        from repro.scenarios.registry import FAMILIES
-    except ImportError:  # pragma: no cover - only during bootstrap
-        return None
-    return FAMILIES
-
-
 @dataclass(frozen=True)
 class WorkloadSpec:
-    """Description of one workload: a family, a size and a seed."""
+    """Description of one workload: a registered family, a size and a seed.
+
+    The family is canonicalised against the
+    :data:`~repro.scenarios.registry.FAMILIES` plugin registry (so
+    ``mixed`` and third-party families work), and the spec serialises
+    itself: it is the ``workload`` section of a
+    :class:`~repro.scenarios.spec.ScenarioSpec`.
+    """
 
     family: str = "random"
     n_ptgs: int = 4
@@ -72,22 +64,40 @@ class WorkloadSpec:
     max_tasks: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.family not in APPLICATION_FAMILIES:
-            families = _plugin_families()
-            if families is None or self.family not in families:
-                available = list(families.names()) if families is not None \
-                    else list(APPLICATION_FAMILIES)
-                raise ConfigurationError(
-                    f"unknown application family {self.family!r}; "
-                    f"available: {available}"
-                )
-        if self.n_ptgs < 1:
-            raise ConfigurationError(f"n_ptgs must be positive, got {self.n_ptgs}")
+        """Validate and canonicalise the field values."""
+        # imported here: the registry imports this module to build its
+        # built-in family entries
+        from repro.scenarios.registry import FAMILIES
+
+        object.__setattr__(self, "family", FAMILIES.canonical(self.family))
+        if not isinstance(self.n_ptgs, int) or self.n_ptgs < 1:
+            raise ConfigurationError(
+                f"n_ptgs must be a positive integer, got {self.n_ptgs!r}"
+            )
         check_max_tasks(self.max_tasks)
+        # the seed feeds numpy's generators, which refuse negative seeds
+        check_int_at_least("seed", self.seed, 0)
 
     def label(self) -> str:
         """Readable identifier used in logs and result records."""
         return f"{self.family}-x{self.n_ptgs}-seed{self.seed}"
+
+    def to_dict(self) -> Dict:
+        """Plain-JSON representation (inverse of :meth:`from_dict`)."""
+        return {
+            "family": self.family,
+            "n_ptgs": self.n_ptgs,
+            "seed": self.seed,
+            "max_tasks": self.max_tasks,
+        }
+
+    @classmethod
+    def from_dict(cls, payload: Dict) -> "WorkloadSpec":
+        """Build a spec from a plain dict; unknown keys raise."""
+        check_known_keys(
+            payload, ("family", "n_ptgs", "seed", "max_tasks"), "workload spec"
+        )
+        return cls(**payload)
 
 
 def _random_configs(max_tasks: Optional[int]) -> Optional[List[RandomPTGConfig]]:
@@ -142,10 +152,9 @@ def make_workload(spec: WorkloadSpec) -> List[PTG]:
         return paper_strassen_workload(rng, n_ptgs=spec.n_ptgs, name_prefix=prefix)
     if spec.family == "mixed":
         return _mixed_workload(rng, spec)
-    families = _plugin_families()
-    if families is None:
-        raise ConfigurationError(f"unknown application family {spec.family!r}")
-    return families.create(
+    from repro.scenarios.registry import FAMILIES
+
+    return FAMILIES.create(
         spec.family, n_ptgs=spec.n_ptgs, seed=spec.seed, max_tasks=spec.max_tasks
     )
 

@@ -17,8 +17,9 @@ down-window start) it
    :class:`~repro.mapping.eft.PlacementEngine` seeded with the kept
    reservations and with every still-relevant down window blocked
    (:meth:`~repro.mapping.timeline.ClusterTimeline.block`), driven by
-   the same ready-list discipline as
-   :class:`~repro.mapping.ready_list.ReadyListMapper`.
+   the ready-list loop of
+   :class:`~repro.mapping.ready_list.ReadyListMapper`
+   (:func:`~repro.mapping.ready_list.place_ready_tasks`).
 
 Re-planning the full tail (not just the overlapping entries) keeps the
 precedence invariant trivially: a moved task can only push its
@@ -44,7 +45,6 @@ perturbed executor measures; the repair reacts to capacity loss only.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
@@ -55,6 +55,7 @@ from repro.exceptions import SimulationError
 from repro.faults.timeline import FAULT_EPS, FaultTimeline
 from repro.mapping.base import AllocatedPTG
 from repro.mapping.eft import PlacementEngine
+from repro.mapping.ready_list import place_ready_tasks
 from repro.mapping.schedule import Schedule, ScheduledTask
 from repro.obs import meters, trace
 from repro.platform.multicluster import MultiClusterPlatform
@@ -207,80 +208,27 @@ def _replan(
             )
 
     reference = ReferenceCluster.of(platform)
-    allocations: Dict[str, Allocation] = {}
-    levels: Dict[str, Dict[int, float]] = {}
-    for name in sorted(replanned):
-        ptg = graphs[name]
-        allocation = _rebuild_allocation(ptg, reference, original)
-        allocations[name] = allocation
-        levels[name] = AllocatedPTG(ptg, allocation).bottom_levels()
-
-    # ready-list discipline over the re-planned set only: a task waits
-    # for its re-planned predecessors; kept predecessors are already in
-    # the repaired schedule, so placement sees their finish times.
-    remaining: Dict[TaskKey, int] = {}
-    ready: List[Tuple[float, str, int, float]] = []
-    for name in sorted(replanned):
-        ptg = graphs[name]
-        tids = replanned[name]
-        release = max(now, releases.get(name, 0.0))
-        for tid in sorted(tids):
-            preds = sum(1 for p in ptg.predecessors(tid) if p in tids)
-            remaining[(name, tid)] = preds
-            if preds == 0:
-                heapq.heappush(ready, (-levels[name][tid], name, tid, release))
-
-    events: List[Tuple[float, str, int]] = []
-    placed: Set[TaskKey] = set()
-    current_time = now
-    earliest_killed_start = float("inf")
-    while ready or events:
-        while ready:
-            _, name, tid, ready_since = heapq.heappop(ready)
-            if (name, tid) in placed:
-                continue  # pragma: no cover - entries are pushed once
-            ptg = graphs[name]
-            predecessors = [
-                (pred, ptg.edge_data(pred, tid)) for pred in ptg.predecessors(tid)
-            ]
-            entry = engine.place(
-                ptg_name=name,
-                task=ptg.task(tid),
-                allocation=allocations[name],
-                predecessors=predecessors,
-                schedule=repaired,
-                not_before=max(ready_since, current_time),
-            )
-            placed.add((name, tid))
-            if (name, tid) in killed_keys and entry.start < earliest_killed_start:
-                earliest_killed_start = entry.start
-            heapq.heappush(events, (entry.finish, name, tid))
-        if not events:
-            break
-        finish, name, tid = heapq.heappop(events)
-        current_time = finish
-        completions = [(name, tid)]
-        while events and abs(events[0][0] - current_time) <= 1e-12:
-            _, other_name, other_id = heapq.heappop(events)
-            completions.append((other_name, other_id))
-        for done_name, done_id in completions:
-            ptg = graphs[done_name]
-            for succ in ptg.successors(done_id):
-                key = (done_name, succ)
-                if key not in remaining:
-                    continue  # pragma: no cover - successors are re-planned
-                remaining[key] -= 1
-                if remaining[key] == 0:
-                    heapq.heappush(
-                        ready,
-                        (-levels[done_name][succ], done_name, succ, current_time),
-                    )
-
+    apps = {
+        name: AllocatedPTG(
+            graphs[name], _rebuild_allocation(graphs[name], reference, original)
+        )
+        for name in sorted(replanned)
+    }
+    # the ready-list loop over the re-planned set only: a task waits for
+    # its re-planned predecessors; kept predecessors are already in the
+    # repaired schedule, so placement sees their finish times
+    placed, _ = place_ready_tasks(
+        engine, repaired, apps, tasks=replanned, start=now, releases=releases
+    )
     total = sum(len(tids) for tids in replanned.values())
     if len(placed) != total:
         raise SimulationError(
             f"repair re-planned {len(placed)} tasks out of {total} at t={now}"
         )
+    earliest_killed_start = min(
+        (e.start for e in placed if (e.ptg_name, e.task_id) in killed_keys),
+        default=float("inf"),
+    )
     return repaired, total, earliest_killed_start
 
 

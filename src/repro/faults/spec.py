@@ -36,6 +36,7 @@ from repro.exceptions import ConfigurationError
 from repro.faults.timeline import FaultTimeline
 from repro.scenarios.registry import FAULTS
 from repro.utils.rng import ensure_rng
+from repro.utils.validation import check_finite, check_int_at_least, check_known_keys
 
 #: Keys a ``faults`` JSON section may carry.
 _FAULT_KEYS = (
@@ -97,8 +98,8 @@ class FaultSpec:
     def __post_init__(self) -> None:
         """Validate and canonicalise the field values."""
         object.__setattr__(self, "plan", FAULTS.canonical(self.plan))
-        if not isinstance(self.seed, int):
-            raise ConfigurationError(f"seed must be an integer, got {self.seed!r}")
+        # the seed feeds numpy's generators, which refuse negative seeds
+        check_int_at_least("seed", self.seed, 0)
         if not isinstance(self.count, int) or self.count < 1:
             raise ConfigurationError(
                 f"count must be a positive integer, got {self.count!r}"
@@ -107,17 +108,17 @@ class FaultSpec:
             raise ConfigurationError(
                 f"nodes must be a positive integer, got {self.nodes!r}"
             )
-        start = float(self.start)
+        start = check_finite("start", self.start)
         if start < 0:
             raise ConfigurationError(f"start must be non-negative, got {self.start!r}")
         object.__setattr__(self, "start", start)
-        duration = float(self.duration)
+        duration = check_finite("duration", self.duration)
         if duration <= 0:
             raise ConfigurationError(
                 f"duration must be positive, got {self.duration!r}"
             )
         object.__setattr__(self, "duration", duration)
-        gap = float(self.gap)
+        gap = check_finite("gap", self.gap)
         if gap <= 0:
             raise ConfigurationError(f"gap must be positive, got {self.gap!r}")
         object.__setattr__(self, "gap", gap)
@@ -125,7 +126,7 @@ class FaultSpec:
             value = getattr(self, name)
             if value is None:
                 continue
-            value = float(value)
+            value = check_finite(name, value)
             if value < 1.0:
                 raise ConfigurationError(
                     f"{name} must be a factor >= 1 or null, got {value!r}"
@@ -156,17 +157,7 @@ class FaultSpec:
     @classmethod
     def from_dict(cls, payload: Dict) -> "FaultSpec":
         """Build a spec from a plain dict; unknown keys raise."""
-        if not isinstance(payload, dict):
-            raise ConfigurationError(
-                f"a faults spec must be a JSON object, got "
-                f"{type(payload).__name__}"
-            )
-        unknown = sorted(set(payload) - set(_FAULT_KEYS))
-        if unknown:
-            raise ConfigurationError(
-                f"unknown key(s) {unknown} in faults spec; allowed: "
-                f"{sorted(_FAULT_KEYS)}"
-            )
+        check_known_keys(payload, _FAULT_KEYS, "faults spec")
         return cls(**payload)
 
     def hash_payload(self) -> Dict:

@@ -4,12 +4,9 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
-
-import numpy as np
+from typing import Dict, Sequence
 
 from repro.allocation.base import Allocation
-from repro.dag.arrays import SMALL_GRAPH_CUTOFF
 from repro.dag.graph import PTG
 from repro.exceptions import MappingError
 from repro.platform.multicluster import MultiClusterPlatform
@@ -47,39 +44,26 @@ class AllocatedPTG:
 
         Computed over the shared :class:`~repro.dag.arrays.DagArrays`
         compilation of the graph (the same one the allocation hot loop
-        uses): the per-task reference durations are evaluated with the
-        vectorized Amdahl formula in the exact scalar operation order of
-        :meth:`~repro.dag.task.Task.execution_time`, and the DP runs over
-        the precompiled topology -- bit-identical to
-        ``ptg.bottom_levels(allocation.task_time)``, as the golden
+        uses): the per-task reference durations follow the scalar
+        operation order of :meth:`~repro.dag.task.Task.execution_time`,
+        and the DP runs over the precompiled topology -- bit-identical
+        to ``ptg.bottom_levels(allocation.task_time)``, as the golden
         schedule suite asserts.
         """
         arrays = self.ptg.arrays()
-        allocation = self.allocation
         task_ids = arrays.task_ids_tuple
-        processors = allocation.processors
-        speed = allocation.reference.speed_flops
-        if arrays.n_tasks < SMALL_GRAPH_CUTOFF:
-            # scalar specialization: below the cutoff the NumPy dispatch
-            # overhead dominates; both formulations are bit-identical
-            alpha = arrays.alpha_tuple
-            flops = arrays.flops_tuple
-            durations_py = [
-                (alpha[i] + (1.0 - alpha[i]) / processors(tid)) * flops[i] / speed
-                for i, tid in enumerate(task_ids)
-            ]
-            return dict(zip(task_ids, arrays.bottom_levels_py(durations_py)))
-        procs = np.array(
-            [processors(tid) for tid in task_ids], dtype=np.float64
-        )
+        processors = self.allocation.processors
+        speed = self.allocation.reference.speed_flops
+        alpha = arrays.alpha_tuple
+        flops = arrays.flops_tuple
         # (alpha + (1 - alpha)/p) * w / s, the scalar Amdahl order; the
         # zero sequential cost of synthetic tasks multiplies out to the
         # exact 0.0 that Task.execution_time short-circuits to
-        durations = (
-            (arrays.alpha + (1.0 - arrays.alpha) / procs) * arrays.flops / speed
-        )
-        bl = arrays.bottom_levels(durations)
-        return dict(zip(task_ids, bl.tolist()))
+        durations = [
+            (alpha[i] + (1.0 - alpha[i]) / processors(tid)) * flops[i] / speed
+            for i, tid in enumerate(task_ids)
+        ]
+        return dict(zip(task_ids, arrays.bottom_levels(durations)))
 
 
 class Mapper(abc.ABC):

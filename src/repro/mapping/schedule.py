@@ -12,10 +12,9 @@ The schedule is also the input of the discrete-event executor in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterator, List, Tuple
 
-from repro.dag.graph import PTG
 from repro.exceptions import MappingError
 
 
@@ -177,48 +176,6 @@ class Schedule:
     def work_on(self, cluster_name: str) -> float:
         """Busy processor-seconds consumed on one cluster."""
         return sum(e.duration * e.num_processors for e in self.entries_on(cluster_name))
-
-    # ------------------------------------------------------------------ #
-    # validation
-    # ------------------------------------------------------------------ #
-    def validate_no_overlap(self) -> None:
-        """Check that no processor executes two tasks at the same time.
-
-        Raises :class:`MappingError` on the first conflict found.  Two
-        reservations may share an endpoint (one finishes exactly when the
-        other starts).
-        """
-        by_proc: Dict[Tuple[str, int], List[Tuple[float, float, ScheduledTask]]] = {}
-        for entry in self._entries.values():
-            for proc in entry.processors:
-                by_proc.setdefault((entry.cluster_name, proc), []).append(
-                    (entry.start, entry.finish, entry)
-                )
-        eps = 1e-9
-        for (cluster, proc), intervals in by_proc.items():
-            intervals.sort(key=lambda item: (item[0], item[1]))
-            for (s1, f1, e1), (s2, f2, e2) in zip(intervals, intervals[1:]):
-                if s2 < f1 - eps:
-                    raise MappingError(
-                        f"processor {proc} of cluster {cluster!r} is used by task "
-                        f"{e1.task_id} of {e1.ptg_name!r} until {f1:.3f} and by task "
-                        f"{e2.task_id} of {e2.ptg_name!r} from {s2:.3f}"
-                    )
-
-    def validate_precedences(self, ptgs: Sequence[PTG]) -> None:
-        """Check that every task starts after all its predecessors finished."""
-        eps = 1e-9
-        for ptg in ptgs:
-            for task in ptg.tasks():
-                entry = self.entry(ptg.name, task.task_id)
-                for pred in ptg.predecessors(task.task_id):
-                    pred_entry = self.entry(ptg.name, pred)
-                    if entry.start < pred_entry.finish - eps:
-                        raise MappingError(
-                            f"task {task.task_id} of {ptg.name!r} starts at "
-                            f"{entry.start:.3f} before its predecessor {pred} "
-                            f"finishes at {pred_entry.finish:.3f}"
-                        )
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         apps = ", ".join(

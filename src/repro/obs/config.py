@@ -15,22 +15,10 @@ and store key is unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Sequence
+from typing import Dict
 
 from repro.exceptions import ConfigurationError
-
-
-def _check_known_keys(payload: Dict, allowed: Sequence[str], where: str) -> None:
-    """Reject non-objects and unknown keys with an error naming the allowed ones."""
-    if not isinstance(payload, dict):
-        raise ConfigurationError(
-            f"a {where} must be a JSON object, got {type(payload).__name__}"
-        )
-    unknown = sorted(set(payload) - set(allowed))
-    if unknown:
-        raise ConfigurationError(
-            f"unknown key(s) {unknown} in {where}; allowed: {sorted(allowed)}"
-        )
+from repro.utils.validation import check_known_keys
 
 
 @dataclass(frozen=True)
@@ -79,7 +67,7 @@ class TelemetrySpec:
     @classmethod
     def from_dict(cls, payload: Dict) -> "TelemetrySpec":
         """Build a spec from a plain dict; unknown keys raise."""
-        _check_known_keys(
+        check_known_keys(
             payload, ("spans", "metrics", "profile"), "telemetry spec"
         )
         return cls(**payload)

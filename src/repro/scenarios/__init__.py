@@ -20,6 +20,7 @@ and runs on the existing scheduler / simulator / campaign machinery:
   stores with resume.
 """
 
+from repro.experiments.workload import WorkloadSpec
 from repro.scenarios.builder import Scenario, SWEEP_AXES
 from repro.scenarios.registry import (
     ALLOCATORS,
@@ -45,7 +46,6 @@ from repro.scenarios.spec import (
     ScenarioSpec,
     SPEC_FORMAT_VERSION,
     SPEC_HASH_VERSION,
-    WorkloadSpec2,
     load_specs,
     scenario_hash_payload,
 )
@@ -62,7 +62,7 @@ __all__ = [
     "REGISTRIES",
     "ScenarioSpec",
     "PipelineSpec",
-    "WorkloadSpec2",
+    "WorkloadSpec",
     "SPEC_FORMAT_VERSION",
     "SPEC_HASH_VERSION",
     "load_specs",

@@ -38,7 +38,8 @@ import itertools
 from typing import Dict, List, Optional, Sequence, Union
 
 from repro.exceptions import ConfigurationError
-from repro.scenarios.spec import PipelineSpec, ScenarioSpec, WorkloadSpec2
+from repro.experiments.workload import WorkloadSpec
+from repro.scenarios.spec import PipelineSpec, ScenarioSpec
 
 #: Sweepable axes, in the (fixed, documented) cross-product order:
 #: earlier axes vary slowest.
@@ -130,7 +131,7 @@ class Scenario:
         """Construct (and thereby validate) the spec described so far."""
         return ScenarioSpec(
             platform=self._platform,
-            workload=WorkloadSpec2(**self._workload),
+            workload=WorkloadSpec(**self._workload),
             pipeline=PipelineSpec(**self._pipeline),
             strategies=self._strategies,
         )

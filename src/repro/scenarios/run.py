@@ -80,7 +80,7 @@ def scenario_workload(spec: ScenarioSpec) -> List[PTG]:
     :data:`~repro.scenarios.registry.FAMILIES` plugin registry inside
     :func:`~repro.experiments.workload.make_workload`.
     """
-    return make_workload(spec.workload.to_workload_spec())
+    return make_workload(spec.workload)
 
 
 @dataclass

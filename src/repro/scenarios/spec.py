@@ -8,12 +8,9 @@ through JSON and a single file fully determines a computation.
 
 Three frozen dataclasses compose a scenario:
 
-* :class:`WorkloadSpec2` -- which applications compete (family, count,
-  seed, optional size cap).  The ``2`` distinguishes it from the older
-  :class:`repro.experiments.workload.WorkloadSpec` it wraps; the two
-  describe identical workloads, but this one validates its family
-  against the plugin registry (so ``mixed`` and third-party families
-  work) and serialises itself.
+* :class:`~repro.experiments.workload.WorkloadSpec` -- which
+  applications compete (family, count, seed, optional size cap), the
+  same spec the experiment harness generates workloads from.
 * :class:`PipelineSpec` -- how the two-step pipeline is assembled
   (allocator, mapper, packing, optional ``mu`` override for the WPS
   strategies).
@@ -47,13 +44,14 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.constraints.registry import STRATEGY_NAMES
 from repro.exceptions import ConfigurationError
+from repro.experiments.workload import WorkloadSpec
 from repro.faults.spec import FaultSpec
 from repro.obs.config import TelemetrySpec
-from repro.scenarios.registry import ALLOCATORS, FAMILIES, MAPPERS, PLATFORMS, STRATEGIES
+from repro.scenarios.registry import ALLOCATORS, MAPPERS, PLATFORMS, STRATEGIES
 from repro.service.spec import ServiceSpec
 from repro.streaming.spec import ArrivalSpec
 from repro.utils.digest import content_digest, platform_fingerprint
-from repro.utils.validation import check_max_tasks
+from repro.utils.validation import check_finite, check_known_keys
 
 #: Version stamp of the spec serialisation format.
 SPEC_FORMAT_VERSION = 1
@@ -62,88 +60,6 @@ SPEC_FORMAT_VERSION = 1
 #: shard keys (:data:`repro.campaigns.shards.SHARD_KEY_VERSION`): a
 #: scenario's hash equals the key of the shard it expands to.
 SPEC_HASH_VERSION = 2
-
-
-def _check_known_keys(payload: Dict, allowed: Sequence[str], where: str) -> None:
-    """Reject non-objects and unknown keys with an error naming the allowed ones."""
-    if not isinstance(payload, dict):
-        raise ConfigurationError(
-            f"a {where} must be a JSON object, got {type(payload).__name__}"
-        )
-    unknown = sorted(set(payload) - set(allowed))
-    if unknown:
-        raise ConfigurationError(
-            f"unknown key(s) {unknown} in {where}; allowed: {sorted(allowed)}"
-        )
-
-
-@dataclass(frozen=True)
-class WorkloadSpec2:
-    """Declarative workload selection: a registered family, a size, a seed.
-
-    Identical content to :class:`repro.experiments.workload.WorkloadSpec`
-    (the harness regenerates bit-identical PTGs from either), but the
-    family is validated against the :data:`~repro.scenarios.registry.FAMILIES`
-    plugin registry and the spec serialises itself.
-    """
-
-    family: str = "random"
-    n_ptgs: int = 4
-    seed: int = 0
-    max_tasks: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        """Validate and canonicalise the field values."""
-        object.__setattr__(self, "family", FAMILIES.canonical(self.family))
-        if not isinstance(self.n_ptgs, int) or self.n_ptgs < 1:
-            raise ConfigurationError(
-                f"n_ptgs must be a positive integer, got {self.n_ptgs!r}"
-            )
-        check_max_tasks(self.max_tasks)
-        if not isinstance(self.seed, int):
-            raise ConfigurationError(f"seed must be an integer, got {self.seed!r}")
-
-    def label(self) -> str:
-        """Readable identifier used in logs and result records."""
-        return f"{self.family}-x{self.n_ptgs}-seed{self.seed}"
-
-    def to_dict(self) -> Dict:
-        """Plain-JSON representation (inverse of :meth:`from_dict`)."""
-        return {
-            "family": self.family,
-            "n_ptgs": self.n_ptgs,
-            "seed": self.seed,
-            "max_tasks": self.max_tasks,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Dict) -> "WorkloadSpec2":
-        """Build a spec from a plain dict; unknown keys raise."""
-        _check_known_keys(
-            payload, ("family", "n_ptgs", "seed", "max_tasks"), "workload spec"
-        )
-        return cls(**payload)
-
-    def to_workload_spec(self):
-        """The equivalent harness :class:`repro.experiments.workload.WorkloadSpec`."""
-        from repro.experiments.workload import WorkloadSpec
-
-        return WorkloadSpec(
-            family=self.family,
-            n_ptgs=self.n_ptgs,
-            seed=self.seed,
-            max_tasks=self.max_tasks,
-        )
-
-    @classmethod
-    def from_workload_spec(cls, spec) -> "WorkloadSpec2":
-        """Build from a harness :class:`repro.experiments.workload.WorkloadSpec`."""
-        return cls(
-            family=spec.family,
-            n_ptgs=spec.n_ptgs,
-            seed=spec.seed,
-            max_tasks=spec.max_tasks,
-        )
 
 
 @dataclass(frozen=True)
@@ -181,7 +97,7 @@ class PipelineSpec:
                 f"packing must be a boolean, got {self.packing!r}"
             )
         if self.mu is not None:
-            mu = float(self.mu)
+            mu = check_finite("mu", self.mu)
             if not 0.0 <= mu <= 1.0:
                 raise ConfigurationError(f"mu must be in [0, 1], got {self.mu!r}")
             object.__setattr__(self, "mu", mu)
@@ -211,7 +127,7 @@ class PipelineSpec:
     @classmethod
     def from_dict(cls, payload: Dict) -> "PipelineSpec":
         """Build a spec from a plain dict; unknown keys raise."""
-        _check_known_keys(
+        check_known_keys(
             payload, ("allocator", "mapper", "packing", "mu"), "pipeline spec"
         )
         return cls(**payload)
@@ -225,6 +141,11 @@ def _normalise_strategies(
         return None
     if isinstance(value, str):
         value = [part.strip() for part in value.split(",") if part.strip()]
+    elif not isinstance(value, (list, tuple)):
+        raise ConfigurationError(
+            f"strategies must be a name, a comma-separated list or a list of "
+            f"names, got {value!r}"
+        )
     names = tuple(STRATEGIES.canonical(name) for name in value)
     if not names:
         raise ConfigurationError(
@@ -246,7 +167,7 @@ class ScenarioSpec:
     """
 
     platform: str = "rennes"
-    workload: WorkloadSpec2 = field(default_factory=WorkloadSpec2)
+    workload: WorkloadSpec = field(default_factory=WorkloadSpec)
     pipeline: PipelineSpec = field(default_factory=PipelineSpec)
     strategies: Optional[Tuple[str, ...]] = None
     arrivals: Optional[ArrivalSpec] = None
@@ -257,9 +178,9 @@ class ScenarioSpec:
     def __post_init__(self) -> None:
         """Validate and canonicalise the field values."""
         object.__setattr__(self, "platform", PLATFORMS.canonical(self.platform))
-        if not isinstance(self.workload, WorkloadSpec2):
+        if not isinstance(self.workload, WorkloadSpec):
             raise ConfigurationError(
-                f"workload must be a WorkloadSpec2, got {type(self.workload).__name__}"
+                f"workload must be a WorkloadSpec, got {type(self.workload).__name__}"
             )
         if not isinstance(self.pipeline, PipelineSpec):
             raise ConfigurationError(
@@ -366,7 +287,7 @@ class ScenarioSpec:
         :class:`~repro.exceptions.ConfigurationError` naming the
         allowed keys / available entries.
         """
-        _check_known_keys(
+        check_known_keys(
             payload,
             (
                 "format_version",
@@ -391,7 +312,7 @@ class ScenarioSpec:
         if "platform" in payload:
             kwargs["platform"] = payload["platform"]
         if "workload" in payload:
-            kwargs["workload"] = WorkloadSpec2.from_dict(payload["workload"] or {})
+            kwargs["workload"] = WorkloadSpec.from_dict(payload["workload"] or {})
         if "pipeline" in payload:
             kwargs["pipeline"] = PipelineSpec.from_dict(payload["pipeline"] or {})
         if "strategies" in payload:

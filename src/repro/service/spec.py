@@ -22,9 +22,10 @@ True
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Sequence
+from typing import Dict
 
 from repro.exceptions import ConfigurationError
+from repro.utils.validation import check_finite, check_known_keys
 
 #: Default per-tenant admission queue depth.
 DEFAULT_QUEUE_DEPTH = 64
@@ -32,19 +33,6 @@ DEFAULT_QUEUE_DEPTH = 64
 #: Default admission-latency SLO threshold (seconds of wall time between
 #: a submission entering its tenant queue and its admission completing).
 DEFAULT_SLO_SECONDS = 0.5
-
-
-def _check_known_keys(payload: Dict, allowed: Sequence[str], where: str) -> None:
-    """Reject non-objects and unknown keys with an error naming the allowed ones."""
-    if not isinstance(payload, dict):
-        raise ConfigurationError(
-            f"a {where} must be a JSON object, got {type(payload).__name__}"
-        )
-    unknown = sorted(set(payload) - set(allowed))
-    if unknown:
-        raise ConfigurationError(
-            f"unknown key(s) {unknown} in {where}; allowed: {sorted(allowed)}"
-        )
 
 
 @dataclass(frozen=True)
@@ -78,11 +66,11 @@ class ServiceSpec:
             raise ConfigurationError(
                 f"queue_depth must be a positive integer, got {self.queue_depth!r}"
             )
-        slo = float(self.slo)
+        slo = check_finite("slo", self.slo)
         if slo <= 0:
             raise ConfigurationError(f"slo must be positive, got {self.slo!r}")
         object.__setattr__(self, "slo", slo)
-        retry_after = float(self.retry_after)
+        retry_after = check_finite("retry_after", self.retry_after)
         if retry_after <= 0:
             raise ConfigurationError(
                 f"retry_after must be positive, got {self.retry_after!r}"
@@ -100,7 +88,7 @@ class ServiceSpec:
     @classmethod
     def from_dict(cls, payload: Dict) -> "ServiceSpec":
         """Build a spec from a plain dict; unknown keys raise."""
-        _check_known_keys(
+        check_known_keys(
             payload, ("queue_depth", "slo", "retry_after"), "service spec"
         )
         return cls(**payload)

@@ -30,8 +30,9 @@ True
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.exceptions import ConfigurationError
 from repro.experiments.workload import WorkloadSpec, make_workload
@@ -39,7 +40,12 @@ from repro.scenarios.registry import ARRIVALS, FAMILIES
 from repro.streaming.arrivals import ArrivalProcess
 from repro.streaming.engine import Arrival
 from repro.utils.rng import ensure_rng
-from repro.utils.validation import check_max_tasks
+from repro.utils.validation import (
+    check_finite,
+    check_int_at_least,
+    check_known_keys,
+    check_max_tasks,
+)
 
 #: Stream length used when a spec names neither ``n_arrivals`` nor a trace.
 DEFAULT_N_ARRIVALS = 16
@@ -113,20 +119,20 @@ class ArrivalSpec:
         """Validate and canonicalise the field values."""
         object.__setattr__(self, "process", ARRIVALS.canonical(self.process))
         object.__setattr__(self, "family", FAMILIES.canonical(self.family))
-        if not isinstance(self.seed, int):
-            raise ConfigurationError(f"seed must be an integer, got {self.seed!r}")
-        rate = float(self.rate)
+        # the seed feeds numpy's generators, which refuse negative seeds
+        check_int_at_least("seed", self.seed, 0)
+        rate = check_finite("rate", self.rate)
         if rate <= 0:
             raise ConfigurationError(f"rate must be positive, got {self.rate!r}")
         object.__setattr__(self, "rate", rate)
-        burst = float(self.burst)
+        burst = check_finite("burst", self.burst)
         if burst < 1:
             raise ConfigurationError(
                 f"burst must be at least 1, got {self.burst!r}"
             )
         object.__setattr__(self, "burst", burst)
         if self.dwell is not None:
-            dwell = float(self.dwell)
+            dwell = check_finite("dwell", self.dwell)
             if dwell <= 0:
                 raise ConfigurationError(
                     f"dwell must be positive, got {self.dwell!r}"
@@ -138,7 +144,15 @@ class ArrivalSpec:
             )
         check_max_tasks(self.max_tasks)
         if self.trace is not None:
-            trace = tuple(float(t) for t in self.trace)
+            if isinstance(self.trace, (str, bytes, dict)) or not isinstance(
+                self.trace, Iterable
+            ):
+                raise ConfigurationError(
+                    f"trace must be a list of instants, got {self.trace!r}"
+                )
+            trace = tuple(
+                check_finite(f"trace[{index}]", t) for index, t in enumerate(self.trace)
+            )
             if not trace:
                 raise ConfigurationError("a trace must hold at least one instant")
             object.__setattr__(self, "trace", trace)
@@ -184,21 +198,8 @@ class ArrivalSpec:
     @classmethod
     def from_dict(cls, payload: Dict) -> "ArrivalSpec":
         """Build a spec from a plain dict; unknown keys raise."""
-        if not isinstance(payload, dict):
-            raise ConfigurationError(
-                f"an arrivals spec must be a JSON object, got "
-                f"{type(payload).__name__}"
-            )
-        unknown = sorted(set(payload) - set(_ARRIVAL_KEYS))
-        if unknown:
-            raise ConfigurationError(
-                f"unknown key(s) {unknown} in arrivals spec; allowed: "
-                f"{sorted(_ARRIVAL_KEYS)}"
-            )
-        kwargs = dict(payload)
-        if kwargs.get("trace") is not None:
-            kwargs["trace"] = tuple(float(t) for t in kwargs["trace"])
-        return cls(**kwargs)
+        check_known_keys(payload, _ARRIVAL_KEYS, "arrivals spec")
+        return cls(**payload)
 
     def hash_payload(self) -> Dict:
         """The canonical content this spec contributes to a scenario hash."""

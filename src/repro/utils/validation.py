@@ -7,7 +7,9 @@ readable and guarantees consistent error reporting across the package.
 
 from __future__ import annotations
 
+import math
 from numbers import Real
+from typing import Mapping, Sequence
 
 from repro.exceptions import ConfigurationError
 
@@ -52,4 +54,34 @@ def check_max_tasks(value) -> None:
     if value is not None and (not isinstance(value, int) or value < 1):
         raise ConfigurationError(
             f"max_tasks must be a positive integer or null, got {value!r}"
+        )
+
+
+def check_finite(name: str, value) -> float:
+    """Require a finite real number and return it as a float.
+
+    Strings, booleans, lists, ``None``, NaN and infinities raise, so a
+    malformed spec field is refused where it is parsed instead of
+    failing (or silently propagating a NaN) later in a run.
+    """
+    if isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value):
+        raise ConfigurationError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def check_known_keys(payload: Mapping, allowed: Sequence[str], where: str) -> None:
+    """Reject non-objects and unknown keys with an error naming the allowed ones.
+
+    *where* names the section (``"pipeline spec"``, ``"arrivals spec"``,
+    ...); the error's article follows its first letter.
+    """
+    if not isinstance(payload, dict):
+        article = "an" if where[:1] in ("a", "e", "i", "o", "u") else "a"
+        raise ConfigurationError(
+            f"{article} {where} must be a JSON object, got {type(payload).__name__}"
+        )
+    unknown = sorted(set(payload) - set(allowed))
+    if unknown:
+        raise ConfigurationError(
+            f"unknown key(s) {unknown} in {where}; allowed: {sorted(allowed)}"
         )

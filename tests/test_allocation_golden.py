@@ -39,7 +39,6 @@ from repro.allocation.iterative import (
 )
 from repro.allocation.reference import ReferenceCluster
 from repro.allocation.scrap import ScrapAllocator, ScrapMaxAllocator
-from repro.dag.arrays import SMALL_GRAPH_CUTOFF
 from repro.dag.generator import RandomPTGConfig, generate_random_ptg
 from repro.dag.graph import PTG
 from repro.exceptions import AllocationError
@@ -106,13 +105,11 @@ class TestGoldenRandomBatch:
                 assert_identical_runs(ptg, platform, 0.6, constraint, **kwargs)
 
     def test_large_graph_vectorized_dp_bit_identical(self):
-        # a graph past SMALL_GRAPH_CUTOFF exercises the vectorized
-        # level-batched DP branch of AllocationState.bottom_levels, which
-        # the paper-sized workloads above never reach
+        # a 550-task graph, far past the paper's largest (the 95-task
+        # 16-point FFT), through the same bottom-level DP
         platform = grid5000.lille()
         ptg = generate_random_ptg(42, RandomPTGConfig(n_tasks=550))
         ptg.ensure_single_entry_exit()
-        assert ptg.n_tasks >= SMALL_GRAPH_CUTOFF, "must take the vectorized DP path"
         for constraint in (
             lambda beta, power: NoConstraint(),
             AreaConstraint,

@@ -5,6 +5,7 @@ import pytest
 from repro.baselines.aggregation import AggregationScheduler, aggregate_ptgs
 from repro.baselines.heft import HEFTScheduler
 from repro.exceptions import MappingError
+from repro.validate import validate_schedule
 
 from tests.conftest import make_chain_ptg, make_diamond_ptg
 
@@ -51,11 +52,11 @@ class TestAggregationScheduler:
         schedule = AggregationScheduler().schedule(random_workload, medium_platform)
         for ptg in random_workload:
             assert len(schedule.entries_of(ptg.name)) == ptg.n_tasks
-        schedule.validate_no_overlap()
+        validate_schedule(schedule).raise_if_invalid()
 
     def test_precedences_respected_per_application(self, medium_platform, random_workload):
         schedule = AggregationScheduler().schedule(random_workload, medium_platform)
-        schedule.validate_precedences(random_workload)
+        validate_schedule(schedule, ptgs=random_workload).raise_if_invalid()
 
     def test_alternative_inner_scheduler(self, medium_platform, random_workload):
         schedule = AggregationScheduler(inner=HEFTScheduler()).schedule(

@@ -4,6 +4,7 @@ import pytest
 
 from repro.baselines.heft import HEFTScheduler
 from repro.exceptions import MappingError
+from repro.validate import validate_schedule
 
 from tests.conftest import make_chain_ptg, make_fork_join_ptg
 
@@ -16,8 +17,7 @@ class TestHEFT:
 
     def test_schedule_consistency(self, medium_platform, small_random_ptg):
         schedule = HEFTScheduler().schedule(small_random_ptg, medium_platform)
-        schedule.validate_no_overlap()
-        schedule.validate_precedences([small_random_ptg])
+        validate_schedule(schedule, ptgs=[small_random_ptg]).raise_if_invalid()
 
     def test_upward_ranks_decrease_along_paths(self, medium_platform, chain_ptg):
         ranks = HEFTScheduler().upward_ranks(chain_ptg, medium_platform)
@@ -31,7 +31,7 @@ class TestHEFT:
 
     def test_multiple_applications(self, medium_platform, random_workload):
         schedule = HEFTScheduler().schedule(random_workload, medium_platform)
-        schedule.validate_no_overlap()
+        validate_schedule(schedule).raise_if_invalid()
         for ptg in random_workload:
             assert len(schedule.entries_of(ptg.name)) == ptg.n_tasks
 
@@ -41,7 +41,7 @@ class TestHEFT:
 
     def test_single_cluster_platform(self, single_cluster, chain_ptg):
         schedule = HEFTScheduler().schedule(chain_ptg, single_cluster)
-        schedule.validate_precedences([chain_ptg])
+        validate_schedule(schedule, ptgs=[chain_ptg]).raise_if_invalid()
 
     def test_ignores_data_parallelism(self, medium_platform):
         """HEFT cannot beat the sequential critical path of a chain."""

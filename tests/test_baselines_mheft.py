@@ -6,6 +6,7 @@ from repro.baselines.heft import HEFTScheduler
 from repro.baselines.mheft import MHEFTScheduler, _candidate_processor_counts
 from repro.exceptions import MappingError
 from repro.platform.cluster import Cluster
+from repro.validate import validate_schedule
 
 from tests.conftest import make_chain_ptg
 
@@ -28,8 +29,7 @@ class TestMHEFT:
     def test_schedule_consistency(self, medium_platform, small_random_ptg):
         schedule = MHEFTScheduler().schedule(small_random_ptg, medium_platform)
         assert len(schedule) == small_random_ptg.n_tasks
-        schedule.validate_no_overlap()
-        schedule.validate_precedences([small_random_ptg])
+        validate_schedule(schedule, ptgs=[small_random_ptg]).raise_if_invalid()
 
     def test_exploits_data_parallelism_on_chains(self, medium_platform):
         """Unlike HEFT, M-HEFT shortens a chain by allocating several processors."""
@@ -54,9 +54,7 @@ class TestMHEFT:
 
     def test_multiple_applications(self, medium_platform, random_workload):
         schedule = MHEFTScheduler().schedule(random_workload, medium_platform)
-        schedule.validate_no_overlap()
-        for ptg in random_workload:
-            schedule.validate_precedences([ptg])
+        validate_schedule(schedule, ptgs=random_workload).raise_if_invalid()
 
     def test_empty_input_rejected(self, medium_platform):
         with pytest.raises(MappingError):

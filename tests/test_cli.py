@@ -145,6 +145,27 @@ class TestRunCommand:
         assert main(["run", "--resume"]) == 2
         assert "--resume requires --store" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "section",
+        [
+            {"pipeline": {"mu": "a"}},
+            {"arrivals": {"rate": "x"}},
+            {"arrivals": {"trace": ["a"]}},
+            {"arrivals": {"rate": float("nan")}},
+            {"faults": {"duration": [1]}},
+            {"faults": {"start": float("nan")}},
+            {"workload": {"seed": -1}},
+        ],
+        ids=lambda section: json.dumps(section),
+    )
+    def test_malformed_numbers_are_one_line_errors(self, capsys, tmp_path, section):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(section))
+        assert main(["run", str(spec), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        (name,) = next(iter(section.values()))
+        assert err.startswith(f"error: {name}") and err.count("\n") == 1
+
 
 class TestTable1Command:
     def test_prints_table(self, capsys):

@@ -201,12 +201,9 @@ class TestBottomLevels:
         arrays = g.arrays()
         time_fn = lambda t: t.execution_time(1, 4e9)
         expected = g.bottom_levels(time_fn)
-        durations = np.array([time_fn(t) for t in g.tasks()])
-        vectorized = arrays.bottom_levels(durations)
-        scalar = arrays.bottom_levels_py(durations.tolist())
+        bl = arrays.bottom_levels([time_fn(t) for t in g.tasks()])
         for i, tid in enumerate(arrays.task_ids_tuple):
-            assert vectorized[i] == expected[tid]  # exact, no tolerance
-            assert scalar[i] == expected[tid]
+            assert bl[i] == expected[tid]  # exact, no tolerance
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_critical_path_matches_graph_walk(self, seed):
@@ -215,8 +212,7 @@ class TestBottomLevels:
         arrays = g.arrays()
         time_fn = lambda t: t.execution_time(1, 4e9)
         expected = g.critical_path(time_fn)
-        durations = np.array([time_fn(t) for t in g.tasks()])
-        bl = arrays.bottom_levels(durations).tolist()
+        bl = arrays.bottom_levels([time_fn(t) for t in g.tasks()])
         path, lead = arrays.critical_path_py(bl)
         assert [arrays.task_ids_tuple[i] for i in path] == expected
         assert bl[path[0]] == max(bl) == g.critical_path_length(time_fn)
@@ -235,9 +231,8 @@ class TestBottomLevels:
             g.add_edge(mid, 7, 0.0)
         time_fn = lambda t: t.execution_time(1, 1e9)
         arrays = g.arrays()
-        durations = np.array([time_fn(t) for t in g.tasks()])
-        bl = arrays.bottom_levels(durations)
-        indices, lead = arrays.critical_path_py(bl.tolist())
+        bl = arrays.bottom_levels([time_fn(t) for t in g.tasks()])
+        indices, lead = arrays.critical_path_py(bl)
         path = [arrays.task_ids_tuple[i] for i in indices]
         assert path == g.critical_path(time_fn) == [0, 3, 7]
         assert lead == 0.0  # the tie is the walk's only choice
@@ -252,7 +247,7 @@ class TestBottomLevels:
         g.add_edge(1, 2, 0.0)
         arrays = g.arrays()
         time_fn = lambda t: t.execution_time(1, 1e9)
-        bl = arrays.bottom_levels_py([time_fn(t) for t in g.tasks()])
+        bl = arrays.bottom_levels([time_fn(t) for t in g.tasks()])
         path, lead = arrays.critical_path_py(bl)
         assert path == [1, 2]
         assert g.critical_path(time_fn) == [1, 2]
@@ -265,5 +260,5 @@ class TestBottomLevels:
             if tid:
                 g.add_edge(tid - 1, tid, 0.0)
         arrays = g.arrays()
-        bl = arrays.bottom_levels_py([t.execution_time(1, 1e9) for t in g.tasks()])
+        bl = arrays.bottom_levels([t.execution_time(1, 1e9) for t in g.tasks()])
         assert arrays.critical_path_py(bl) == ([0, 1, 2], float("inf"))

@@ -25,7 +25,7 @@ def test_readme_points_at_docs():
 
 
 def test_stale_references_fail_the_lint(tmp_path, monkeypatch):
-    """A backticked ``repro.…`` name or repo path that no longer resolves is reported."""
+    """A backticked ``repro.…`` name, repo path or identifier that no longer resolves is reported."""
     spec = importlib.util.spec_from_file_location(
         "lint_docs", REPO_ROOT / "tools" / "lint_docs.py"
     )
@@ -34,12 +34,14 @@ def test_stale_references_fail_the_lint(tmp_path, monkeypatch):
     docs = tmp_path / "docs"
     docs.mkdir()
     (tmp_path / "tests").mkdir()
-    (tmp_path / "tests" / "kept.py").write_text("", encoding="utf-8")
+    (tmp_path / "tests" / "kept.py").write_text("class KeptHelper:\n    pass\n", encoding="utf-8")
     (docs / "page.md").write_text(
         "# Page\n"
         "`repro.campaigns.pool.RetryPolicy`, `repro.mapping.eft.PlacementEngine.place`\n"
         "and `tests/kept.py` resolve; `repro.campaigns.RetryPolicy`,\n"
-        "`repro.mapping._reference` and `tests/oracles/gone.py` do not.\n",
+        "`repro.mapping._reference` and `tests/oracles/gone.py` do not.\n"
+        "`KeptHelper`, `DagArrays`, `TIME_EPS` and `KeyError` resolve;\n"
+        "`WorkloadSpec3` and `RETIRED_CUTOFF` do not.\n",
         encoding="utf-8",
     )
     monkeypatch.setattr(lint, "REPO_ROOT", tmp_path)
@@ -50,4 +52,6 @@ def test_stale_references_fail_the_lint(tmp_path, monkeypatch):
         "stale name repro.campaigns.RetryPolicy",
         "stale name repro.mapping._reference",
         "stale path tests/oracles/gone.py",
+        "stale name WorkloadSpec3",
+        "stale name RETIRED_CUTOFF",
     ]

@@ -31,6 +31,25 @@ class TestWorkloadSpec:
         with pytest.raises(ConfigurationError):
             WorkloadSpec(n_ptgs=0)
 
+    @pytest.mark.parametrize(
+        "kwargs", [{"n_ptgs": 2.5}, {"seed": "x"}, {"seed": 1.0}, {"seed": -1}]
+    )
+    def test_counts_and_seeds_must_be_integers(self, kwargs):
+        with pytest.raises(ConfigurationError, match="integer"):
+            WorkloadSpec(**kwargs)
+
+    def test_family_is_canonicalised_by_the_registry(self):
+        assert WorkloadSpec(family=" Mixed ").label() == "mixed-x4-seed0"
+
+    def test_dict_round_trip(self):
+        spec = WorkloadSpec("strassen", 3, seed=2, max_tasks=12)
+        assert spec.to_dict() == {
+            "family": "strassen", "n_ptgs": 3, "seed": 2, "max_tasks": 12
+        }
+        assert WorkloadSpec.from_dict(spec.to_dict()) == spec
+        with pytest.raises(ConfigurationError, match="unknown key"):
+            WorkloadSpec.from_dict({"famliy": "fft"})
+
     @pytest.mark.parametrize("max_tasks", [0, -5])
     def test_invalid_task_cap(self, max_tasks):
         with pytest.raises(ConfigurationError, match=(

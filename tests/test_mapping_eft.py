@@ -6,6 +6,7 @@ from repro.allocation.base import Allocation
 from repro.allocation.reference import ReferenceCluster
 from repro.mapping.eft import PlacementEngine
 from repro.mapping.schedule import Schedule
+from repro.validate import validate_schedule
 
 from tests.conftest import make_chain_ptg, make_fork_join_ptg
 
@@ -66,8 +67,7 @@ class TestBasicPlacement:
                 for p in fork_join_ptg.predecessors(tid)
             ]
             engine.place(fork_join_ptg.name, fork_join_ptg.task(tid), alloc, preds, schedule)
-        schedule.validate_no_overlap()
-        schedule.validate_precedences([fork_join_ptg])
+        validate_schedule(schedule, ptgs=[fork_join_ptg]).raise_if_invalid()
 
     def test_reference_allocation_recorded(self, small_platform, chain_ptg):
         engine = PlacementEngine(small_platform)
@@ -98,7 +98,7 @@ class TestPacking:
         # either it fit at full size or the packing reduced it; in both cases
         # the schedule stays consistent
         assert 1 <= entry.num_processors <= 8
-        schedule.validate_no_overlap()
+        validate_schedule(schedule).raise_if_invalid()
 
     def test_packing_never_hurts_finish_time(self, small_platform):
         background = make_fork_join_ptg("bg", width=6, flops=60e9, alpha=0.05)

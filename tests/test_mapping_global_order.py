@@ -6,6 +6,7 @@ from repro.allocation.scrap import ScrapMaxAllocator
 from repro.exceptions import MappingError
 from repro.mapping.base import AllocatedPTG
 from repro.mapping.global_order import GlobalOrderMapper
+from repro.validate import validate_schedule
 
 from tests.conftest import make_chain_ptg, make_fork_join_ptg
 
@@ -20,14 +21,12 @@ class TestGlobalOrderMapper:
             [allocate(small_random_ptg, small_platform)], small_platform
         )
         assert len(schedule) == small_random_ptg.n_tasks
-        schedule.validate_no_overlap()
-        schedule.validate_precedences([small_random_ptg])
+        validate_schedule(schedule, ptgs=[small_random_ptg]).raise_if_invalid()
 
     def test_concurrent_applications_consistent(self, medium_platform, random_workload):
         allocated = [allocate(p, medium_platform, beta=1 / 3) for p in random_workload]
         schedule = GlobalOrderMapper().map(allocated, medium_platform)
-        schedule.validate_no_overlap()
-        schedule.validate_precedences(random_workload)
+        validate_schedule(schedule, ptgs=random_workload).raise_if_invalid()
         for ptg in random_workload:
             assert len(schedule.entries_of(ptg.name)) == ptg.n_tasks
 

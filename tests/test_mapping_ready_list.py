@@ -9,6 +9,7 @@ from repro.exceptions import MappingError
 from repro.mapping.base import AllocatedPTG
 from repro.mapping.ready_list import ReadyListMapper
 from repro.mapping.global_order import GlobalOrderMapper
+from repro.validate import validate_schedule
 
 from tests.conftest import make_chain_ptg, make_fork_join_ptg
 
@@ -24,8 +25,7 @@ class TestSingleApplication:
 
     def test_schedule_is_consistent(self, small_platform, small_random_ptg):
         schedule = ReadyListMapper().map([allocate(small_random_ptg, small_platform)], small_platform)
-        schedule.validate_no_overlap()
-        schedule.validate_precedences([small_random_ptg])
+        validate_schedule(schedule, ptgs=[small_random_ptg]).raise_if_invalid()
 
     def test_chain_executes_sequentially(self, small_platform):
         ptg = make_chain_ptg(n=4)
@@ -55,8 +55,7 @@ class TestConcurrentApplications:
         schedule = ReadyListMapper().map(allocated, medium_platform)
         for ptg in random_workload:
             assert len(schedule.entries_of(ptg.name)) == ptg.n_tasks
-        schedule.validate_no_overlap()
-        schedule.validate_precedences(random_workload)
+        validate_schedule(schedule, ptgs=random_workload).raise_if_invalid()
 
     def test_small_application_not_postponed(self, medium_platform):
         """The Figure 1 scenario: the small PTG starts before the big one ends."""
@@ -110,4 +109,4 @@ class TestConcurrentApplications:
     def test_packing_can_be_disabled(self, medium_platform, random_workload):
         allocated = [allocate(p, medium_platform, beta=0.5) for p in random_workload]
         schedule = ReadyListMapper(enable_packing=False).map(allocated, medium_platform)
-        schedule.validate_no_overlap()
+        validate_schedule(schedule).raise_if_invalid()

@@ -4,6 +4,7 @@ import pytest
 
 from repro.exceptions import MappingError
 from repro.mapping.schedule import Schedule, ScheduledTask
+from repro.validate import validate_schedule
 
 from tests.conftest import make_chain_ptg
 
@@ -88,36 +89,42 @@ class TestSchedule:
 
 
 class TestValidation:
+    """The schedule invariants, checked by :func:`repro.validate.validate_schedule`."""
+
     def test_overlap_detected(self):
         s = Schedule("p")
         s.add(entry(task=0, procs=(0,), start=0.0, finish=2.0))
         s.add(entry(task=1, procs=(0,), start=1.0, finish=3.0))
+        report = validate_schedule(s)
+        assert [v.kind for v in report.violations] == ["overlap"]
         with pytest.raises(MappingError):
-            s.validate_no_overlap()
+            report.raise_if_invalid()
 
     def test_back_to_back_allowed(self):
         s = Schedule("p")
         s.add(entry(task=0, procs=(0,), start=0.0, finish=2.0))
         s.add(entry(task=1, procs=(0,), start=2.0, finish=3.0))
-        s.validate_no_overlap()
+        validate_schedule(s).raise_if_invalid()
 
     def test_different_processors_allowed(self):
         s = Schedule("p")
         s.add(entry(task=0, procs=(0,), start=0.0, finish=2.0))
         s.add(entry(task=1, procs=(1,), start=0.0, finish=2.0))
-        s.validate_no_overlap()
+        validate_schedule(s).raise_if_invalid()
 
     def test_precedence_violation_detected(self):
         ptg = make_chain_ptg("app", n=2)
         s = Schedule("p")
         s.add(entry(task=0, start=0.0, finish=2.0))
         s.add(entry(task=1, start=1.0, finish=3.0, procs=(1,)))
+        report = validate_schedule(s, ptgs=[ptg])
+        assert [v.kind for v in report.violations] == ["precedence"]
         with pytest.raises(MappingError):
-            s.validate_precedences([ptg])
+            report.raise_if_invalid()
 
     def test_precedence_ok(self):
         ptg = make_chain_ptg("app", n=2)
         s = Schedule("p")
         s.add(entry(task=0, start=0.0, finish=2.0))
         s.add(entry(task=1, start=2.0, finish=3.0, procs=(1,)))
-        s.validate_precedences([ptg])
+        validate_schedule(s, ptgs=[ptg]).raise_if_invalid()

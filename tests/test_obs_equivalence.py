@@ -73,6 +73,11 @@ def test_scheduler_output_is_bit_identical_with_telemetry_on():
     assert counters["allocation.iterations_saved"].value > 0
     assert "allocation.iterations" not in counters
     assert not any(s.name == "allocation.iterate" for s in session.spans)
+    # the ready-list mapper observes one ready set per event, and every
+    # task is placed in exactly one of them
+    candidates = session.registry.histograms["mapping.ready_candidates"]
+    assert candidates.count == counters["mapping.events"].value
+    assert candidates.sum == sum(ptg.n_tasks for ptg in make_ptgs())
 
 
 def test_allocation_stats_are_bit_identical_with_telemetry_on():

@@ -111,8 +111,7 @@ def test_concurrent_schedule_invariants(seed, n_apps, n_tasks, mu):
     # every task of every application is placed exactly once
     assert len(result.schedule) == sum(p.n_tasks for p in workload)
     # no processor oversubscription and no precedence violation
-    result.schedule.validate_no_overlap()
-    result.schedule.validate_precedences(workload)
+    validate_schedule(result.schedule, ptgs=workload).raise_if_invalid()
     # per-application makespans are positive and bounded by the batch makespan
     for name, makespan in result.makespans.items():
         assert 0 < makespan <= result.global_makespan + 1e-9

@@ -17,13 +17,13 @@ from repro.experiments.workload import WorkloadSpec, make_workload
 from repro.platform import grid5000
 from repro.scenarios.builder import Scenario
 from repro.scenarios.run import run_scenario, run_scenarios, scenario_workload
-from repro.scenarios.spec import PipelineSpec, ScenarioSpec, WorkloadSpec2
+from repro.scenarios.spec import PipelineSpec, ScenarioSpec
 
 
 def tiny_spec(**pipeline_kwargs):
     return ScenarioSpec(
         platform="lille",
-        workload=WorkloadSpec2(family="random", n_ptgs=2, seed=5, max_tasks=8),
+        workload=WorkloadSpec(family="random", n_ptgs=2, seed=5, max_tasks=8),
         pipeline=PipelineSpec(**pipeline_kwargs),
         strategies=("S", "ES"),
     )
@@ -35,7 +35,7 @@ class TestRunScenarioEquivalence:
         """A default-pipeline scenario over all 8 strategies."""
         return ScenarioSpec(
             platform="lille",
-            workload=WorkloadSpec2(family="fft", n_ptgs=2, seed=2),
+            workload=WorkloadSpec(family="fft", n_ptgs=2, seed=2),
         )
 
     def test_bit_identical_to_the_runner_path_for_all_8_strategies(
@@ -110,13 +110,12 @@ class TestFamilyPlugins:
         try:
             spec = ScenarioSpec(
                 platform="lille",
-                workload=WorkloadSpec2(family="tiny", n_ptgs=2, seed=1),
+                workload=WorkloadSpec(family="tiny", n_ptgs=2, seed=1),
                 strategies=("ES",),
             )
             result = run_scenario(spec, platform=small_platform)
             assert result.experiment.n_ptgs == 2
             assert result.unfairness_of("ES") >= 0.0
-            # the harness spec accepts the plugin family too
             assert WorkloadSpec(family="tiny", n_ptgs=2).family == "tiny"
             assert len(make_workload(WorkloadSpec(family="tiny", n_ptgs=3, seed=2))) == 3
         finally:

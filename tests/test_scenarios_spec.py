@@ -8,10 +8,10 @@ import pytest
 
 from repro.constraints.registry import STRATEGY_NAMES
 from repro.exceptions import ConfigurationError
+from repro.experiments.workload import WorkloadSpec
 from repro.scenarios.spec import (
     PipelineSpec,
     ScenarioSpec,
-    WorkloadSpec2,
     load_specs,
 )
 
@@ -19,7 +19,7 @@ from repro.scenarios.spec import (
 def default_spec(**overrides):
     kwargs = dict(
         platform="lille",
-        workload=WorkloadSpec2(family="fft", n_ptgs=2, seed=3),
+        workload=WorkloadSpec(family="fft", n_ptgs=2, seed=3),
         pipeline=PipelineSpec(allocator="hcpa", packing=False),
         strategies=("S", "ES"),
     )
@@ -89,7 +89,7 @@ class TestValidation:
 
     def test_bad_n_ptgs_raises(self):
         with pytest.raises(ConfigurationError):
-            WorkloadSpec2(n_ptgs=0)
+            WorkloadSpec(n_ptgs=0)
 
     def test_empty_strategy_list_raises(self):
         with pytest.raises(ConfigurationError):
@@ -114,13 +114,13 @@ class TestStrategyResolution:
         assert ScenarioSpec().resolved_strategy_names() == tuple(STRATEGY_NAMES)
 
     def test_strassen_drops_width_strategies(self):
-        spec = ScenarioSpec(workload=WorkloadSpec2(family="strassen"))
+        spec = ScenarioSpec(workload=WorkloadSpec(family="strassen"))
         names = spec.resolved_strategy_names()
         assert names and all("width" not in n for n in names)
 
     def test_explicit_selection_wins(self):
         spec = ScenarioSpec(
-            workload=WorkloadSpec2(family="strassen"), strategies=("PS-width",)
+            workload=WorkloadSpec(family="strassen"), strategies=("PS-width",)
         )
         assert spec.resolved_strategy_names() == ("PS-width",)
 
@@ -158,7 +158,7 @@ class TestContentHash:
         base = default_spec().content_hash()
         assert default_spec(platform="nancy").content_hash() != base
         assert default_spec(
-            workload=WorkloadSpec2(family="fft", n_ptgs=2, seed=4)
+            workload=WorkloadSpec(family="fft", n_ptgs=2, seed=4)
         ).content_hash() != base
         assert default_spec(
             pipeline=PipelineSpec(allocator="scrap", packing=False)
@@ -234,3 +234,55 @@ class TestServiceSection:
             ScenarioSpec.from_dict({"service": {"slo": -1.0}})
         with pytest.raises(ConfigurationError, match="retry_after"):
             ScenarioSpec.from_dict({"service": {"retry_after": 0}})
+
+
+#: Every float-valued field of a scenario file, as (section, field).
+FLOAT_FIELDS = [
+    ("pipeline", "mu"),
+    ("arrivals", "rate"),
+    ("arrivals", "burst"),
+    ("arrivals", "dwell"),
+    ("faults", "start"),
+    ("faults", "duration"),
+    ("faults", "gap"),
+    ("faults", "bandwidth"),
+    ("faults", "slowdown"),
+    ("service", "slo"),
+    ("service", "retry_after"),
+]
+NOT_FINITE = ["x", float("nan"), float("inf"), float("-inf"), [1.0], True]
+
+
+class TestMalformedNumbers:
+    @pytest.mark.parametrize("section", ["workload", "arrivals", "faults"])
+    def test_negative_seeds_are_refused(self, section):
+        with pytest.raises(ConfigurationError, match=r"^seed must be an integer >= 0"):
+            ScenarioSpec.from_dict({section: {"seed": -1}})
+
+    @pytest.mark.parametrize("section,name", FLOAT_FIELDS)
+    @pytest.mark.parametrize("value", NOT_FINITE, ids=repr)
+    def test_non_finite_fields_name_the_field(self, section, name, value):
+        with pytest.raises(ConfigurationError, match=rf"^{name} must be a finite number"):
+            ScenarioSpec.from_dict({section: {name: value}})
+
+    @pytest.mark.parametrize("value", NOT_FINITE, ids=repr)
+    def test_non_finite_trace_instants_name_their_index(self, value):
+        payload = {"arrivals": {"process": "trace", "trace": [0.0, value]}}
+        with pytest.raises(ConfigurationError, match=r"^trace\[1\] must be a finite number"):
+            ScenarioSpec.from_dict(payload)
+
+    @pytest.mark.parametrize("value", ["abc", 3.0, None], ids=repr)
+    def test_a_trace_must_be_a_list(self, value):
+        payload = {"arrivals": {"process": "trace", "trace": value}}
+        with pytest.raises(ConfigurationError, match="trace"):
+            ScenarioSpec.from_dict(payload)
+
+    def test_finite_numbers_are_kept_as_floats(self):
+        spec = ScenarioSpec.from_dict({
+            "pipeline": {"mu": 1},
+            "arrivals": {"rate": 2, "trace": [0, 1.5]},
+            "faults": {"start": 0, "slowdown": 2},
+        })
+        assert spec.pipeline.mu == 1.0 and isinstance(spec.pipeline.mu, float)
+        assert spec.arrivals.rate == 2.0 and spec.arrivals.trace == (0.0, 1.5)
+        assert spec.faults.start == 0.0 and spec.faults.slowdown == 2.0

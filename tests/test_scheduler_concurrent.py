@@ -7,6 +7,7 @@ from repro.constraints.strategies import EqualShareStrategy, SelfishStrategy
 from repro.exceptions import ConfigurationError
 from repro.mapping.global_order import GlobalOrderMapper
 from repro.scheduler.concurrent import ConcurrentScheduler
+from repro.validate import validate_schedule
 
 from tests.conftest import make_chain_ptg
 
@@ -22,8 +23,7 @@ class TestConcurrentScheduler:
         result = ConcurrentScheduler(SelfishStrategy()).schedule(
             random_workload, medium_platform
         )
-        result.schedule.validate_no_overlap()
-        result.schedule.validate_precedences(random_workload)
+        validate_schedule(result.schedule, ptgs=random_workload).raise_if_invalid()
 
     @pytest.mark.parametrize("name", STRATEGY_NAMES)
     def test_every_strategy_produces_complete_schedule(
@@ -73,7 +73,7 @@ class TestConcurrentScheduler:
         result = ConcurrentScheduler(mapper=GlobalOrderMapper()).schedule(
             random_workload, medium_platform
         )
-        result.schedule.validate_no_overlap()
+        validate_schedule(result.schedule).raise_if_invalid()
 
     def test_single_application_equivalent_to_selfish(self, medium_platform, chain_ptg):
         es = ConcurrentScheduler(EqualShareStrategy()).schedule([chain_ptg], medium_platform)

@@ -6,6 +6,7 @@ from repro.constraints.strategies import EqualShareStrategy, SelfishStrategy
 from repro.exceptions import ConfigurationError
 from repro.scheduler.online import Arrival, OnlineConcurrentScheduler
 from repro.simulate.executor import ScheduleExecutor
+from repro.validate import validate_schedule
 
 from tests.conftest import make_chain_ptg, make_fork_join_ptg
 
@@ -79,8 +80,7 @@ class TestOnlineScheduler:
         arrivals = [Arrival(p, 10.0 * i) for i, p in enumerate(random_workload)]
         scheduler = OnlineConcurrentScheduler(EqualShareStrategy())
         result = scheduler.schedule(arrivals, medium_platform)
-        result.schedule.validate_no_overlap()
-        result.schedule.validate_precedences(random_workload)
+        validate_schedule(result.schedule, ptgs=random_workload).raise_if_invalid()
         # makespans are measured from each application's own submission
         for arrival in arrivals:
             assert result.makespan(arrival.ptg.name) == pytest.approx(

@@ -6,6 +6,7 @@ from repro.allocation.hcpa import HCPAAllocator
 from repro.exceptions import ConfigurationError
 from repro.mapping.global_order import GlobalOrderMapper
 from repro.scheduler.single import SinglePTGScheduler
+from repro.validate import validate_schedule
 
 from tests.conftest import make_chain_ptg
 
@@ -18,8 +19,7 @@ class TestSinglePTGScheduler:
 
     def test_schedule_is_valid(self, small_platform, small_random_ptg):
         result = SinglePTGScheduler().schedule(small_random_ptg, small_platform)
-        result.schedule.validate_no_overlap()
-        result.schedule.validate_precedences([small_random_ptg])
+        validate_schedule(result.schedule, ptgs=[small_random_ptg]).raise_if_invalid()
 
     def test_makespan_convenience(self, small_platform, chain_ptg):
         scheduler = SinglePTGScheduler()

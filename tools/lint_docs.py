@@ -18,7 +18,10 @@ documentation cannot silently rot:
   backticked repo path
   (``repro/…``, ``tests/…``, ``benchmarks/…``, ``tools/…``,
   ``examples/…``) exists, glob patterns matching at least one file and
-  build outputs listed in ``.gitignore`` exempt.
+  build outputs listed in ``.gitignore`` exempt; every backticked bare
+  ``CamelCase`` or ``UPPER_SNAKE`` identifier is a builtin or a class,
+  function or upper-case constant defined under ``src/``, ``tests/``,
+  ``benchmarks/``, ``perfbench/`` or ``tools/``.
 
 Exit code 0 when clean, 1 with one line per problem otherwise.
 """
@@ -26,6 +29,7 @@ Exit code 0 when clean, 1 with one line per problem otherwise.
 from __future__ import annotations
 
 import ast
+import builtins
 import re
 import sys
 from pathlib import Path
@@ -52,6 +56,10 @@ _HEADING_RE = re.compile(r"^(#{1,6})\s+(.*)$")
 _CODE_SPAN_RE = re.compile(r"`([^`\n]+)`")
 _DOTTED_RE = re.compile(r"repro(?:\.[A-Za-z_]\w*)+")
 _PATH_PREFIXES = ("repro/", "tests/", "benchmarks/", "tools/", "examples/")
+#: A bare ``CamelCase`` (two humps or more) or ``UPPER_SNAKE`` identifier.
+_IDENTIFIER_RE = re.compile(r"[A-Z][a-z0-9]+(?:[A-Z][A-Za-z0-9]*)+|[A-Z][A-Z0-9]*(?:_[A-Z0-9]+)+")
+#: Source trees whose definitions the docs may name bare, besides ``src/``.
+_INDEXED_DIRS = ("tests", "benchmarks", "perfbench", "tools")
 
 
 def github_slug(heading: str) -> str:
@@ -151,6 +159,20 @@ def dotted_name_problem(name: str):
     return "no such module"
 
 
+def defined_identifiers() -> set:
+    """Builtins plus every class, function and upper-case constant defined in the trees."""
+    names = set(dir(builtins))
+    roots = [SRC_DIR] + [REPO_ROOT / name for name in _INDEXED_DIRS]
+    for path in sorted(p for root in roots for p in root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                if node.id.isupper():
+                    names.add(node.id)
+    return names
+
+
 def build_outputs() -> tuple:
     """Directory entries of the root ``.gitignore`` (made by running things)."""
     ignore = REPO_ROOT / ".gitignore"
@@ -172,10 +194,11 @@ def path_problem(text: str):
 
 
 def lint_architecture_packages(problems: list) -> None:
-    """Every backticked ``repro.…`` name and repo path must resolve.
+    """Every backticked ``repro.…`` name, repo path and identifier must resolve.
 
     Checked on every page and the README, outside code fences.
     """
+    identifiers = defined_identifiers()
     pages = sorted(DOCS_DIR.glob("**/*.md")) + [REPO_ROOT / "README.md"]
     for page in pages:
         if not page.exists():
@@ -201,6 +224,10 @@ def lint_architecture_packages(problems: list) -> None:
                     problem = path_problem(span)
                     if problem:
                         problems.append(f"{rel}:{lineno}: stale path {span}: {problem}")
+                elif _IDENTIFIER_RE.fullmatch(span) and span not in identifiers:
+                    problems.append(
+                        f"{rel}:{lineno}: stale name {span}: not defined in the source trees"
+                    )
 
 
 def main() -> int:
