@@ -31,10 +31,12 @@ the mappers (which evaluate them with their final allocation).
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.dag.task import Task
 from repro.exceptions import InvalidGraphError
+from repro.utils.validation import check_finite
 
 TimeFunction = Callable[[Task], float]
 CommFunction = Callable[[Task, Task, float], float]
@@ -121,7 +123,8 @@ class PTG:
             raise InvalidGraphError(
                 f"PTG {self.name!r}: duplicate edge {src_id} -> {dst_id}"
             )
-        if data_bytes < 0:
+        if not 0 <= data_bytes < math.inf:
+            check_finite(f"PTG {self.name!r}: data on edge {src_id} -> {dst_id}", data_bytes)
             raise InvalidGraphError(
                 f"PTG {self.name!r}: negative data on edge {src_id} -> {dst_id}"
             )

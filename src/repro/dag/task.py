@@ -8,6 +8,7 @@ execution time then follows the Amdahl model of
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -18,6 +19,7 @@ from repro.dag.cost_models import (
     sequential_flops,
 )
 from repro.exceptions import ConfigurationError
+from repro.utils.validation import check_finite
 
 
 @dataclass(frozen=True)
@@ -59,11 +61,15 @@ class Task:
     name: str = ""
 
     def __post_init__(self) -> None:
-        if self.flops < 0:
+        # one comparison on the valid path; NaN and infinities go on to
+        # check_finite, which names the task
+        if not 0 <= self.flops < math.inf:
+            check_finite(f"task {self.task_id} flops", self.flops)
             raise ConfigurationError(f"task flops must be non-negative, got {self.flops}")
         if not (0.0 <= self.alpha <= 1.0):
             raise ConfigurationError(f"task alpha must be in [0, 1], got {self.alpha}")
-        if self.data_elements < 0:
+        if not 0 <= self.data_elements < math.inf:
+            check_finite(f"task {self.task_id} data_elements", self.data_elements)
             raise ConfigurationError(
                 f"task data_elements must be non-negative, got {self.data_elements}"
             )

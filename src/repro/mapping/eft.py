@@ -19,26 +19,30 @@ Performance
 The engine is the innermost loop of every mapper, so it runs the
 **delta-EFT** selection: instead of fully evaluating every cluster, it
 derives an exact per-cluster *lower bound* on the achievable finish time
-from the cached free-time frontier (``max(ready lower bound, first free
-time) + duration at the translated allocation``), evaluates clusters in
+from the free-time frontier (``max(ready lower bound, first free time) +
+duration at the translated allocation``), evaluates clusters in
 ascending bound order and stops as soon as the next bound exceeds the
 best finish found -- dominated clusters are skipped without computing
-their candidates.  The per-cluster evaluation itself runs on the plain
-Python frontier (:meth:`~repro.mapping.timeline.ClusterTimeline.
-kth_free_list`, updated in place on reserve) with memoized
-allocation translations, and the packing sweep walks the allocation
-sizes ``p-1 .. 1`` over that frontier, short-circuiting once the
-remaining (monotonically non-decreasing) candidate finishes can no
-longer be accepted.  Every cutoff is justified by an exact inequality
-on the same IEEE-754 quantities a full declaration-order scan computes,
-so the schedules are bit-identical to the scalar formulation frozen in
+their candidates.  One dict lookup per placement gives the translated
+processor count of every cluster (keyed by the reference speed and
+processors, all that ``ReferenceCluster.translate`` reads); the bounds
+are a plain list of floats, ordered by a stable index sort, and only
+the clusters evaluated read their count, duration and frontier
+(:meth:`~repro.mapping.timeline.ClusterTimeline.kth_free_list`, read
+from the timeline on every placement: a rollback or a block replaces
+the list).  The packing sweep walks the allocation sizes ``p-1 .. 1``
+over that frontier, short-circuiting once the remaining (monotonically
+non-decreasing) candidate finishes can no longer be accepted.  Every
+cutoff is justified by an exact inequality on the same IEEE-754
+quantities a full declaration-order scan computes, so the schedules are
+bit-identical to the scalar formulation frozen in
 ``tests/oracles/mapping.py`` (asserted by ``tests/test_mapping_golden.py``
 and ``tests/test_delta_golden.py``).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.allocation.base import Allocation
 from repro.dag.task import Task
@@ -51,9 +55,9 @@ from repro.platform.multicluster import MultiClusterPlatform
 
 #: The winner of :meth:`PlacementEngine._select`: ``(processors, start,
 #: finish, duration, packed, requested processors, cluster name,
-#: timeline)``, where ``duration`` is the evaluated execution time that
-#: :meth:`PlacementEngine.place` reserves.
-Selection = Tuple[int, float, float, float, bool, int, str, ClusterTimeline]
+#: timeline, reference processors)``, where ``duration`` is the
+#: evaluated execution time that :meth:`PlacementEngine.place` reserves.
+Selection = Tuple[int, float, float, float, bool, int, str, ClusterTimeline, int]
 
 
 class PlacementEngine:
@@ -77,19 +81,18 @@ class PlacementEngine:
         self.packed_tasks = 0
         # Per-cluster evaluation context, in declaration order, cached
         # once (``place`` is called for every task of every application):
-        # (cluster, timeline, speed_flops, translation memo).  The
-        # memo caches ``ReferenceCluster.translate`` results keyed by
-        # (reference speed, reference processors) -- translation is pure
-        # integer arithmetic repeated for every task of every admission.
-        self._cluster_info = [
-            (
-                cluster,
-                self.timelines.timeline(cluster.name),
-                cluster.speed_flops,
-                {},
-            )
+        # (cluster name, timeline, speed_flops).
+        self._clusters = [
+            (cluster.name, self.timelines.timeline(cluster.name), cluster.speed_flops)
             for cluster in platform
         ]
+        # The translated processor count of every cluster, in declaration
+        # order, keyed by (reference speed, reference processors): all
+        # that ``ReferenceCluster.translate`` reads, and the same pure
+        # integer arithmetic for every task of every admission.
+        self._translations: Dict[Tuple[float, int], Tuple[int, ...]] = {}
+        # a synthetic task runs on one processor wherever it is placed
+        self._single = (1,) * len(self._clusters)
 
     # ------------------------------------------------------------------ #
     # cluster selection
@@ -111,14 +114,15 @@ class PlacementEngine:
         is an exact lower bound on any achievable finish there -- packed
         candidates included, since shrinking the allocation only raises
         the duration and the ``k``-th free time is minimal at ``k = 1``.
-        Clusters are evaluated in ascending bound order, so once a bound
-        exceeds the best finish found the rest are dominated and skipped
-        without computing their data-ready times or candidates.  The
-        winner is picked by the (unique) lexicographic minimum of
-        ``(finish, start, declaration index)``, which equals the full
-        scan's first-wins declaration order, and returned as a
-        :data:`Selection` carrying the duration it was evaluated with:
-        ``(alpha + (1 - alpha) / p) * flops / speed``, the expression of
+        Clusters are evaluated in ascending bound order (a stable sort,
+        so equal bounds keep declaration order), so once a bound exceeds
+        the best finish found the rest are dominated and skipped without
+        computing their data-ready times or candidates.  The winner is
+        picked by the (unique) lexicographic minimum of ``(finish, start,
+        declaration index)``, which equals the full scan's first-wins
+        declaration order, and returned as a :data:`Selection` carrying
+        the duration it was evaluated with: ``(alpha + (1 - alpha) / p) *
+        flops / speed``, the expression of
         :meth:`~repro.dag.task.Task.execution_time` (``0.0`` for a
         synthetic task).
         """
@@ -131,69 +135,49 @@ class PlacementEngine:
         ready_floor = not_before
         for pred_id, data_bytes in predecessors:
             entry = schedule.entry(ptg_name, pred_id)
-            preds.append((entry.finish, entry.cluster_name, data_bytes))
-            if entry.finish > ready_floor:
-                ready_floor = entry.finish
+            pred_finish = entry.finish
+            preds.append((pred_finish, entry.cluster_name, data_bytes))
+            if pred_finish > ready_floor:
+                ready_floor = pred_finish
 
-        synthetic = task.is_synthetic
-        if synthetic:
+        ref_procs = allocation.processors(task.task_id)
+        if task.is_synthetic:
+            # every duration below is exactly 0.0
             alpha = one_minus = flops = 0.0
-            ref_procs = 1
+            counts = self._single
         else:
             alpha = task.alpha
             one_minus = 1.0 - alpha
             flops = task.flops
-            ref_procs = allocation.processors(task.task_id)
-        ref_speed = allocation.reference.speed_gflops
-        memo_key = (ref_speed, ref_procs)
-
-        candidates = []
-        for decl_index, (cluster, timeline, speed, memo) in enumerate(
-            self._cluster_info
-        ):
-            if synthetic:
-                requested = 1
-                dur_req = 0.0
-            else:
-                requested = memo.get(memo_key)
-                if requested is None:
-                    # translate() clips to [1, cluster size], matching
-                    # Allocation.cluster_processors + min()
-                    requested = memo[memo_key] = allocation.reference.translate(
-                        ref_procs, cluster
-                    )
-                dur_req = (alpha + one_minus / requested) * flops / speed
-            frontier = timeline.kth_free_list()
-            kth0 = frontier[0]
-            lower_start = ready_floor if ready_floor >= kth0 else kth0
-            candidates.append(
-                (
-                    lower_start + dur_req,
-                    decl_index,
-                    cluster,
-                    timeline,
-                    requested,
-                    dur_req,
-                    frontier,
-                    speed,
+            reference = allocation.reference
+            key = (reference.speed_gflops, ref_procs)
+            counts = self._translations.get(key)
+            if counts is None:
+                # translate() clips to [1, cluster size], matching
+                # Allocation.cluster_processors + min()
+                counts = self._translations[key] = tuple(
+                    reference.translate(ref_procs, cluster) for cluster in self.platform
                 )
-            )
-        # declaration indices are unique, so the tuple order never looks
-        # past them
-        candidates.sort()
+
+        # Frontiers are read from the timelines on every call: block()
+        # and rollback_transaction() replace a timeline's lists.
+        clusters = self._clusters
+        bounds: List[float] = []
+        for (_, timeline, speed), requested in zip(clusters, counts):
+            kth0 = timeline.kth_free_list()[0]
+            lower_start = ready_floor if ready_floor >= kth0 else kth0
+            bounds.append(lower_start + (alpha + one_minus / requested) * flops / speed)
 
         comm = self.comm
         enable_packing = self.enable_packing
         best_finish = best_start = float("inf")
-        best_decl = len(candidates)
+        best_decl = len(bounds)
         best: Optional[Selection] = None
-        for (
-            bound, decl_index, cluster, timeline, requested, dur_req, frontier, speed
-        ) in candidates:
-            if bound > best_finish:
+        for decl_index in sorted(range(len(bounds)), key=bounds.__getitem__):
+            if bounds[decl_index] > best_finish:
                 # every remaining candidate finishes at or above its bound
                 break
-            cname = cluster.name
+            cname, timeline, speed = clusters[decl_index]
             ready = not_before
             for pred_finish, pred_cluster, data_bytes in preds:
                 if pred_cluster == cname:
@@ -204,6 +188,9 @@ class PlacementEngine:
                     )
                 if t > ready:
                     ready = t
+            requested = counts[decl_index]
+            dur_req = (alpha + one_minus / requested) * flops / speed
+            frontier = timeline.kth_free_list()
             kth = frontier[requested - 1]
             start = ready if ready >= kth else kth
             finish = start + dur_req
@@ -251,6 +238,7 @@ class PlacementEngine:
                 best_finish, best_start, best_decl = pfinish, pstart, decl_index
                 best = (
                     procs, pstart, pfinish, pdur, packed, requested, cname, timeline,
+                    ref_procs,
                 )
         if best is None:  # pragma: no cover - platform is never empty
             raise MappingError("platform has no cluster to place the task on")
@@ -289,13 +277,11 @@ class PlacementEngine:
         """
         (
             procs, evaluated_start, evaluated_finish, duration,
-            packed, requested, cluster_name, timeline,
+            packed, requested, cluster_name, timeline, ref_procs,
         ) = self._select(ptg_name, task, allocation, predecessors, schedule, not_before)
         # reserve exactly what was evaluated: the duration _select computed
         # and its start, on the timeline it read
-        indices, start, finish = timeline.reserve(
-            procs, ready_time=evaluated_start, duration=duration
-        )
+        indices, start, finish = timeline.reserve(procs, evaluated_start, duration)
         if abs(start - evaluated_start) > 1e-6 or abs(finish - evaluated_finish) > 1e-6:
             # The reservation must match the evaluation: both use the same
             # timeline state, so a mismatch means an internal bug.
@@ -316,13 +302,7 @@ class PlacementEngine:
                     "mapping.packing_reduction", edges=meters.DEFAULT_COUNT_EDGES
                 ).observe(requested - procs)
         entry = ScheduledTask(
-            ptg_name=ptg_name,
-            task_id=task.task_id,
-            cluster_name=cluster_name,
-            processors=tuple(indices),
-            start=start,
-            finish=finish,
-            reference_processors=allocation.processors(task.task_id),
+            ptg_name, task.task_id, cluster_name, tuple(indices), start, finish, ref_procs
         )
         schedule.add(entry)
         return entry

@@ -12,15 +12,28 @@ The schedule is also the input of the discrete-event executor in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Tuple
 
 from repro.exceptions import MappingError
 
 
-@dataclass(frozen=True)
-class ScheduledTask:
+class _ScheduledTaskFields(NamedTuple):
+    ptg_name: str
+    task_id: int
+    cluster_name: str
+    processors: Tuple[int, ...]
+    start: float
+    finish: float
+    reference_processors: int = 1
+
+
+class ScheduledTask(_ScheduledTaskFields):
     """Placement of one task of one application.
+
+    An immutable record: it equals, hashes and prints like the tuple of
+    its fields under its own name.  Every way of building one -- the
+    constructor, :meth:`_make`, :meth:`_replace`, unpickling -- runs the
+    checks of :meth:`__new__`.
 
     Attributes
     ----------
@@ -38,28 +51,41 @@ class ScheduledTask:
         The reference allocation the mapping translated (diagnostics).
     """
 
-    ptg_name: str
-    task_id: int
-    cluster_name: str
-    processors: Tuple[int, ...]
-    start: float
-    finish: float
-    reference_processors: int = 1
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.start < 0 or self.finish < self.start:
+    def __new__(
+        cls,
+        ptg_name: str,
+        task_id: int,
+        cluster_name: str,
+        processors: Tuple[int, ...],
+        start: float,
+        finish: float,
+        reference_processors: int = 1,
+    ) -> ScheduledTask:
+        if start < 0 or finish < start:
             raise MappingError(
-                f"invalid time window [{self.start}, {self.finish}] for task "
-                f"{self.task_id} of {self.ptg_name!r}"
+                f"invalid time window [{start}, {finish}] for task "
+                f"{task_id} of {ptg_name!r}"
             )
-        if len(self.processors) < 1:
+        if len(processors) < 1:
             raise MappingError(
-                f"task {self.task_id} of {self.ptg_name!r} mapped on zero processors"
+                f"task {task_id} of {ptg_name!r} mapped on zero processors"
             )
-        if len(set(self.processors)) != len(self.processors):
+        if len(set(processors)) != len(processors):
             raise MappingError(
-                f"task {self.task_id} of {self.ptg_name!r} mapped twice on a processor"
+                f"task {task_id} of {ptg_name!r} mapped twice on a processor"
             )
+        return tuple.__new__(
+            cls,
+            (ptg_name, task_id, cluster_name, processors, start, finish,
+             reference_processors),
+        )
+
+    @classmethod
+    def _make(cls, iterable) -> ScheduledTask:
+        """Build an entry from an iterable of fields, with the checks."""
+        return cls(*iterable)
 
     @property
     def num_processors(self) -> int:

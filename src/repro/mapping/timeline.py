@@ -11,23 +11,23 @@ on the ready-task ordering plus the allocation packing mechanism.
 
 Performance
 -----------
-A timeline keeps its state in three plain Python lists: the free time of
-each processor, the ``(free time, index)`` pair of every processor in
-ascending order, and the sorted free times alone.  ``earliest_start`` is
-an O(1) lookup of the ``p``-th sorted free time,
-``select_processors(p)`` reads the indices of the first ``p`` pairs
-(exactly the ``(free time, index)`` lexicographic order), and
-``reserve`` drops the first ``p`` entries of both sorted lists and
-inserts the new finish time as one block at its :mod:`bisect`
-position -- no NumPy call on arrays of at most a few hundred entries.
-The EFT packing sweep in
-:mod:`repro.mapping.eft` reads the whole candidate range ``k = 1..p``
-from the sorted free times, :meth:`ClusterTimeline.kth_free_list`.
+A timeline keeps its state in two parallel plain Python lists: the
+processor free times in ascending order, and the processor indices in
+the same order (ascending index among equal free times, exactly the
+``(free time, index)`` lexicographic order).  ``earliest_start`` is an
+O(1) lookup of the ``p``-th sorted free time, ``select_processors(p)``
+is the first ``p`` indices, and ``reserve`` drops the first ``p``
+entries of both lists and inserts the new finish time as one block at
+its :mod:`bisect` position -- slicing, with no per-processor Python
+loop, no tuples and no NumPy call on arrays of at most a few hundred
+entries.  The EFT packing sweep in :mod:`repro.mapping.eft` reads the
+whole candidate range ``k = 1..p`` from the sorted free times,
+:meth:`ClusterTimeline.kth_free_list`.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -59,27 +59,31 @@ class ClusterTimeline:
     def __init__(self, cluster: Cluster) -> None:
         self.cluster = cluster
         count = cluster.num_processors
-        self._free_at: List[float] = [0.0] * count
-        # every processor as a (free time, index) pair, ascending
-        self._pairs: List[Tuple[float, int]] = [(0.0, i) for i in range(count)]
-        # the free times of ``_pairs`` alone
+        # the free times in ascending order, and the processor indices in
+        # the same order (ascending index among equal free times)
         self._sorted: List[float] = [0.0] * count
+        self._order: List[int] = list(range(count))
         # Transaction support (:meth:`begin_transaction`): when active,
         # the first mutation snapshots the pre-transaction state so a
         # rollback can restore it bitwise.
         self._txn_active = False
-        self._txn_saved: Optional[
-            Tuple[List[float], List[Tuple[float, int]], List[float]]
-        ] = None
+        self._txn_saved: Optional[Tuple[List[float], List[int]]] = None
 
     @property
     def num_processors(self) -> int:
         """Number of processors of the underlying cluster."""
         return self.cluster.num_processors
 
+    def _by_processor(self) -> List[float]:
+        """The free time of each processor, in processor index order."""
+        free_times = [0.0] * len(self._order)
+        for free, index in zip(self._sorted, self._order):
+            free_times[index] = free
+        return free_times
+
     def free_times(self) -> np.ndarray:
         """A copy of the per-processor free times."""
-        return np.array(self._free_at, dtype=float)
+        return np.array(self._by_processor(), dtype=float)
 
     def kth_free_list(self) -> List[float]:
         """The sorted processor free times (ascending) as a plain Python list.
@@ -113,9 +117,7 @@ class ClusterTimeline:
 
     def _txn_snapshot(self) -> None:
         if self._txn_active and self._txn_saved is None:
-            self._txn_saved = (
-                list(self._free_at), list(self._pairs), list(self._sorted)
-            )
+            self._txn_saved = (list(self._sorted), list(self._order))
 
     def commit_transaction(self) -> None:
         """Keep the mutations made since :meth:`begin_transaction`."""
@@ -125,13 +127,13 @@ class ClusterTimeline:
     def rollback_transaction(self) -> None:
         """Restore the timeline to its :meth:`begin_transaction` state."""
         if self._txn_saved is not None:
-            self._free_at, self._pairs, self._sorted = self._txn_saved
+            self._sorted, self._order = self._txn_saved
         self._txn_active = False
         self._txn_saved = None
 
     def _check_processors(self, processors: int) -> None:
         """Validate a requested processor count (paper: ``1 <= p <= P``)."""
-        if processors < 1 or processors > self.num_processors:
+        if processors < 1 or processors > len(self._order):
             raise MappingError(
                 f"cannot reserve {processors} processors on cluster "
                 f"{self.cluster.name!r} ({self.num_processors} available)"
@@ -158,7 +160,7 @@ class ClusterTimeline:
         matching the paper's deterministic earliest-available selection).
         """
         self._check_processors(processors)
-        return [index for _, index in self._pairs[:processors]]
+        return self._order[:processors]
 
     def reserve(
         self, processors: int, ready_time: float, duration: float
@@ -174,32 +176,32 @@ class ClusterTimeline:
         and *duration*.
 
         The taken processors are the first ``processors`` entries of both
-        sorted lists and ``finish`` is at or above all of them, so they
-        are dropped and their ``(finish, index)`` pairs go back as one
-        index-sorted block, merged only with the pairs already free at
-        exactly ``finish`` -- the same list ``processors`` separate
-        :func:`bisect.insort` calls build.
+        lists and ``finish`` is at or above all of them, so they are
+        dropped and go back as one block at the :func:`bisect.bisect_left`
+        position of ``finish``: ``processors`` copies of ``finish``, and
+        their indices sorted together with those of the processors already
+        free at exactly ``finish`` -- the same lists ``processors``
+        separate :func:`bisect.insort` calls of ``(finish, index)`` pairs
+        build.
         """
         if duration < 0:
             raise MappingError(f"duration must be non-negative, got {duration}")
         self._check_processors(processors)
         if ready_time < 0:
             raise MappingError(f"ready_time must be non-negative, got {ready_time}")
-        free_at, pairs, ordered = self._free_at, self._pairs, self._sorted
-        start = max(ready_time, ordered[processors - 1])
+        ordered, order = self._sorted, self._order
+        kth = ordered[processors - 1]
+        start = kth if kth > ready_time else ready_time  # max(ready_time, kth)
         finish = start + duration
-        indices = [index for _, index in pairs[:processors]]
+        indices = order[:processors]
         self._txn_snapshot()
-        del pairs[:processors]
-        for index in indices:
-            free_at[index] = finish
-        low = high = bisect_left(pairs, (finish,))
-        while high < len(pairs) and pairs[high][0] == finish:
-            high += 1
-        pairs[low:high] = sorted(pairs[low:high] + [(finish, i) for i in indices])
         del ordered[:processors]
-        pos = bisect_left(ordered, finish)
-        ordered[pos:pos] = [finish] * processors
+        del order[:processors]
+        low = high = bisect_left(ordered, finish)
+        if high < len(ordered) and ordered[high] == finish:
+            high = bisect_right(ordered, finish, low)
+        ordered[low:low] = [finish] * processors
+        order[low:high] = sorted(order[low:high] + indices)
         return indices, start, finish
 
     def block(self, processors: Sequence[int], until: float) -> None:
@@ -212,9 +214,9 @@ class ClusterTimeline:
         non-insertion model -- the idle span *before* the window is
         given up too (the model keeps no holes), which can only delay
         repaired placements, never invalidate them.  Unlike
-        :meth:`reserve` this touches arbitrary processors, so the sorted
-        lists are rebuilt with a full sort (blocking happens once per
-        repair pass, not per placement).
+        :meth:`reserve` this touches arbitrary processors, so both lists
+        are rebuilt (new list objects) with a full sort: blocking happens
+        once per repair pass, not per placement.
         """
         if until < 0:
             raise MappingError(f"block bound must be non-negative, got {until}")
@@ -226,11 +228,12 @@ class ClusterTimeline:
                     f"{self.cluster.name!r} (0..{self.num_processors - 1})"
                 )
         self._txn_snapshot()
-        free_at = self._free_at
+        free_times = self._by_processor()
         for index in indices:
-            free_at[index] = max(free_at[index], until)
-        self._pairs = sorted((free, index) for index, free in enumerate(free_at))
-        self._sorted = [free for free, _ in self._pairs]
+            free_times[index] = max(free_times[index], until)
+        pairs = sorted((free, index) for index, free in enumerate(free_times))
+        self._sorted = [free for free, _ in pairs]
+        self._order = [index for _, index in pairs]
 
     def utilisation(self, horizon: float) -> float:
         """Fraction of processor time booked up to *horizon* (diagnostics)."""

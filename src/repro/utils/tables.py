@@ -31,6 +31,9 @@ def format_table(
 ) -> str:
     """Render *rows* as a column-aligned ASCII table.
 
+    Columns are separated by two spaces and the rule under the header
+    spans the table's full width; no line ends in whitespace.
+
     Parameters
     ----------
     headers:
@@ -46,7 +49,7 @@ def format_table(
     --------
     >>> print(format_table(["a", "b"], [[1, 2.5]], float_fmt=".1f"))
     a  b
-    -----
+    ------
     1  2.5
     """
     rows = [list(r) for r in rows]
@@ -63,11 +66,10 @@ def format_table(
     lines: List[str] = []
     if title:
         lines.append(title)
-    header_line = "  ".join(h.ljust(w) for h, w in zip(headers, widths))
-    lines.append(header_line)
-    lines.append("-" * len(header_line) + " ")
+    lines.append("  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip())
+    lines.append("-" * (sum(widths) + 2 * (len(widths) - 1)))
     for row in cells:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
+        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
     return "\n".join(lines)
 
 

@@ -1,5 +1,8 @@
 """Tests for PTG serialisation (JSON / DOT)."""
 
+import json
+import math
+
 import pytest
 
 from repro.dag.generator import RandomPTGConfig, generate_random_ptg
@@ -12,7 +15,7 @@ from repro.dag.io import (
     ptg_to_json,
     save_workload,
 )
-from repro.exceptions import InvalidGraphError
+from repro.exceptions import InvalidGraphError, ReproError
 
 
 class TestJsonRoundTrip:
@@ -48,6 +51,26 @@ class TestJsonRoundTrip:
     def test_missing_fields(self):
         with pytest.raises(InvalidGraphError):
             ptg_from_dict({"format_version": 1, "name": "x"})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "field, where",
+        [
+            ("flops", "task 1 flops"),
+            ("data_elements", "task 1 data_elements"),
+            ("data_bytes", "edge 0 -> 1"),
+        ],
+    )
+    def test_non_finite_costs_are_refused(self, diamond_ptg, field, value, where):
+        payload = ptg_to_dict(diamond_ptg)
+        if field == "data_bytes":
+            payload["edges"][0][field] = value  # the edge 0 -> 1
+        else:
+            payload["tasks"][1][field] = value
+        # the json module writes and reads NaN and Infinity
+        for parse, source in ((ptg_from_dict, payload), (ptg_from_json, json.dumps(payload))):
+            with pytest.raises(ReproError, match=f"{where}.* must be a finite number"):
+                parse(source)
 
     def test_non_dict_payload(self):
         with pytest.raises(InvalidGraphError):

@@ -1,10 +1,14 @@
 """Tests for the cluster processor timelines."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.exceptions import MappingError
 from repro.mapping.timeline import ClusterTimeline, PlatformTimeline
 from repro.platform.cluster import Cluster
+
+from tests.oracles.mapping import ReferenceClusterTimeline
 
 
 @pytest.fixture
@@ -158,10 +162,6 @@ class TestTimelineEdgeCases:
         assert timeline.select_processors(4) == [1, 3, 0, 2]
 
     def test_reserve_merges_with_processors_free_at_its_finish(self):
-        import numpy as np
-
-        from tests.oracles.mapping import ReferenceClusterTimeline
-
         fast = ClusterTimeline(Cluster("c", 6, 2.0))
         slow = ReferenceClusterTimeline(Cluster("c", 6, 2.0))
         steps = [
@@ -182,10 +182,6 @@ class TestTimelineEdgeCases:
         assert fast.select_processors(6) == [0, 1, 2, 4, 5, 3]
 
     def test_matches_reference_timeline_on_random_traffic(self):
-        import numpy as np
-
-        from tests.oracles.mapping import ReferenceClusterTimeline
-
         # reserves interleaved with begin / commit / rollback; every other
         # reservation lands on a coarse grid so free times tie and the
         # processor index decides the selection
@@ -227,3 +223,73 @@ class TestTimelineEdgeCases:
             assert np.array_equal(fast.free_times(), slow.free_times())
             assert fast.kth_free_list() == sorted(slow.free_times().tolist())
         assert rollbacks > 5
+
+
+def oracle_block(timeline, processors, until):
+    """:meth:`ClusterTimeline.block` on the oracle's per-processor array.
+
+    The oracle predates blocking; this is its one-line definition, with
+    the oracle's lazy transaction snapshot.
+    """
+    if timeline._txn_active and timeline._txn_saved is None:
+        timeline._txn_saved = timeline._free_at.copy()
+    for index in processors:
+        timeline._free_at[index] = max(timeline._free_at[index], until)
+
+
+@st.composite
+def timeline_programs(draw):
+    """A cluster size and a sequence of timeline steps.
+
+    Times and durations come mostly from a coarse grid, so finishes land
+    on existing free times and the processor index decides ties; full
+    cluster reservations are drawn as often as any other size.
+    """
+    size = draw(st.integers(min_value=1, max_value=9))
+    times = st.one_of(st.integers(0, 8).map(float), st.floats(0.0, 40.0))
+    durations = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0]), st.floats(0.0, 10.0))
+    counts = st.one_of(st.just(size), st.integers(1, size))
+    reserve = st.tuples(st.just("reserve"), counts, times, durations)
+    block = st.tuples(
+        st.just("block"), st.lists(st.integers(0, size - 1), max_size=size), times
+    )
+    transaction = st.tuples(st.sampled_from(["begin", "commit", "rollback"]))
+    steps = st.lists(st.one_of(reserve, reserve, block, transaction), max_size=30)
+    return size, draw(steps)
+
+
+@settings(max_examples=150, deadline=None)
+@given(program=timeline_programs())
+def test_matches_the_oracle_on_random_programs(program):
+    """Every step leaves the two-list frontier equal to the oracle's state."""
+    size, steps = program
+    fast = ClusterTimeline(Cluster("c", size, 2.0))
+    slow = ReferenceClusterTimeline(Cluster("c", size, 2.0))
+    in_transaction = False
+    for step in steps:
+        kind = step[0]
+        if kind == "reserve":
+            _, processors, ready, duration = step
+            assert fast.reserve(processors, ready, duration) == slow.reserve(
+                processors, ready, duration
+            )
+        elif kind == "block":
+            _, processors, until = step
+            fast.block(processors, until)
+            oracle_block(slow, processors, until)
+        elif kind == "begin" and not in_transaction:
+            fast.begin_transaction()
+            slow.begin_transaction()
+            in_transaction = True
+        elif kind == "commit" and in_transaction:
+            fast.commit_transaction()
+            slow.commit_transaction()
+            in_transaction = False
+        elif kind == "rollback" and in_transaction:
+            fast.rollback_transaction()
+            slow.rollback_transaction()
+            in_transaction = False
+        assert np.array_equal(fast.free_times(), slow.free_times())
+        assert fast.kth_free_list() == sorted(slow.free_times().tolist())
+        for count in range(1, size + 1):
+            assert fast.select_processors(count) == slow.select_processors(count)

@@ -10,6 +10,9 @@ intervention.
 from __future__ import annotations
 
 import asyncio
+import math
+
+import pytest
 
 from repro.service.app import Request, ServiceApp
 
@@ -130,5 +133,40 @@ def test_drain_worker_survives_the_raise():
         assert not tenant.worker.done()  # the loop survived the raise
         await app.stop()  # a dead worker would hang or raise here
         assert tenant.worker.done()
+
+    asyncio.run(run())
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["flops", "data_elements", "data_bytes"])
+def test_non_finite_cost_is_refused_and_the_tenant_keeps_serving(field, value):
+    """A NaN or infinite cost is a 400 at submission, never a degraded tenant."""
+    spec = make_service_spec()
+
+    async def run():
+        app = ServiceApp(spec)
+        first = await app.handle(submit_request("a", 0.0, chain_ptg("first")))
+        assert first.status == 202
+        await app.quiesce("a")
+
+        request = submit_request("a", 10.0, chain_ptg("poisoned"))
+        payload = request.body["ptg"]
+        if field == "data_bytes":
+            payload["edges"][0][field] = value
+        else:
+            payload["tasks"][1][field] = value
+        refused = await app.handle(request)
+        assert refused.status == 400
+        assert "must be a finite number" in refused.body["error"]
+
+        assert await tenant_rows(app, "a")  # the next read answers 200
+        healthz = await app.handle(Request("GET", "/healthz"))
+        assert healthz.body["ok"] is True
+        # the refused submission took no name and no slot
+        retry = await app.handle(submit_request("a", 10.0, chain_ptg("poisoned")))
+        assert retry.status == 202
+        await app.quiesce("a")
+        assert app.tenants["a"].session.admitted == 2
+        await app.stop()
 
     asyncio.run(run())

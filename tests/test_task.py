@@ -1,5 +1,7 @@
 """Tests for repro.dag.task."""
 
+import math
+
 import pytest
 
 from repro.dag.cost_models import ComplexityClass
@@ -40,6 +42,16 @@ class TestTaskConstruction:
     def test_invalid_parameters(self, kwargs):
         with pytest.raises(ConfigurationError):
             Task(0, **kwargs)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["flops", "data_elements"])
+    def test_non_finite_costs_name_the_task(self, field, value):
+        kwargs = dict(flops=1e9, alpha=0.1, data_elements=4e6)
+        kwargs[field] = value
+        with pytest.raises(
+            ConfigurationError, match=rf"task 7 {field} must be a finite number"
+        ):
+            Task(7, **kwargs)
 
     def test_immutability(self):
         t = Task(0, flops=1e9, alpha=0.1)
