@@ -8,11 +8,11 @@ the serial :func:`repro.experiments.runner.run_campaign`:
 2. shards whose key is already present in the result store are skipped
    (resume-after-interrupt; the check is a key-only scan, no result is
    deserialised),
-3. the remaining shards are handed to a pluggable *executor*
-   (:data:`repro.scenarios.registry.EXECUTORS`: ``serial`` /
-   ``process-pool`` / ``local-cluster``), each completed shard being
-   appended to the store -- results, archived workload and own-makespan
-   cache -- the moment it arrives,
+3. the remaining shards are handed to the process-pool executor
+   (:data:`repro.scenarios.registry.EXECUTORS`: ``process-pool`` or its
+   one-job alias ``serial``), each completed shard being appended to the
+   store -- results, archived workload and own-makespan cache -- the
+   moment it arrives,
 4. the :class:`~repro.experiments.runner.CampaignResult` is re-assembled
    from the store in campaign order, so ``average_unfairness()`` and
    ``average_relative_makespan()`` aggregate exactly as the serial
@@ -26,7 +26,6 @@ bit-identical aggregates.
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Union
@@ -34,7 +33,7 @@ from typing import Dict, List, Optional, Union
 from repro.campaigns.pool import RetryPolicy, default_jobs
 from repro.campaigns.shards import ExperimentShard, campaign_signature, make_shards
 from repro.campaigns.store import CampaignStore
-from repro.exec.base import ExecutionPolicy, Executor
+from repro.exec.procpool import ExecutionPolicy, ProcessPoolExecutor
 from repro.exceptions import CampaignError
 from repro.experiments.runner import (
     CampaignConfig,
@@ -125,7 +124,9 @@ def _check_store(
         store.write_meta(_campaign_meta(config, shards))
 
 
-def _resolve_executor(executor: Optional[Union[str, Executor]]) -> Executor:
+def _resolve_executor(
+    executor: Optional[Union[str, ProcessPoolExecutor]],
+) -> ProcessPoolExecutor:
     """An executor instance from a registry name (default: process-pool)."""
     if executor is None:
         executor = "process-pool"
@@ -144,8 +145,7 @@ def orchestrate(
     resume: bool = True,
     archive_workloads: bool = True,
     retry: Optional[RetryPolicy] = None,
-    executor: Optional[Union[str, Executor]] = None,
-    policy: Optional[ExecutionPolicy] = None,
+    executor: Optional[Union[str, ProcessPoolExecutor]] = None,
 ) -> CampaignRun:
     """Run *config* in parallel with persistence, returning result + stats.
 
@@ -159,7 +159,8 @@ def orchestrate(
         persisted as it completes; when omitted, the run is in-memory
         only (no resume, no archive).
     jobs:
-        Worker processes (default: one per CPU; ``1`` runs inline).
+        Worker processes (default: the executor's own, one per CPU for
+        ``process-pool``; ``1`` runs inline).
     progress:
         Called with a short string after each shard is skipped, completed
         or failed.
@@ -178,28 +179,19 @@ def orchestrate(
         completes over the surviving shards instead of aborting; a
         later resume re-runs them (their result key is still missing).
     executor:
-        Which execution engine fans the shards out: a name from
-        :data:`repro.scenarios.registry.EXECUTORS` (``serial`` /
-        ``process-pool`` / ``local-cluster``) or an
-        :class:`~repro.exec.base.Executor` instance.  The default is
-        ``process-pool`` -- exactly the pre-executor behaviour.
-    policy:
-        Optional :class:`~repro.exec.base.ExecutionPolicy` with the
-        cross-executor knobs (lease timeouts, poll intervals...).  The
-        explicit *jobs* / *retry* arguments fill its corresponding
-        fields when those are unset, and ``return_workload`` always
-        follows *archive_workloads*.
+        Which executor fans the shards out: a name from
+        :data:`repro.scenarios.registry.EXECUTORS` (``process-pool``,
+        the default, or its one-job alias ``serial``) or a
+        :class:`~repro.exec.procpool.ProcessPoolExecutor` instance.
+        An explicit *jobs* wins over the executor's own job count.
     """
     if isinstance(store, (str, bytes)) or hasattr(store, "__fspath__"):
         store = CampaignStore(store)
     shards = make_shards(config)
     stats = CampaignRunStats(total_shards=len(shards))
     engine = _resolve_executor(executor)
-    policy = dataclasses.replace(
-        policy if policy is not None else ExecutionPolicy(),
-        jobs=jobs if jobs is not None else (policy.jobs if policy else None),
-        retry=retry if retry is not None else (policy.retry if policy else None),
-        return_workload=store is not None and archive_workloads,
+    policy = ExecutionPolicy(
+        jobs=jobs, retry=retry, return_workload=store is not None and archive_workloads
     )
 
     results: Dict[str, ExperimentResult] = {}
@@ -266,7 +258,9 @@ def orchestrate(
         # worker utilisation: summed shard CPU seconds over the wall-clock
         # budget of the pool (1.0 = every worker busy the whole run)
         wall = time.perf_counter() - wall_start
-        workers = default_jobs() if jobs is None else max(1, int(jobs))
+        # the job count the executor ran with, resolved as submit_shards does
+        ran = policy.jobs if policy.jobs is not None else engine.jobs
+        workers = default_jobs() if ran is None else max(1, int(ran))
         if wall > 0.0:
             registry.gauge("campaign.worker_utilisation").set(
                 stats.executed_seconds / (wall * workers)
@@ -316,7 +310,7 @@ def run_campaign_parallel(
     jobs: Optional[int] = None,
     progress: Optional[ProgressCallback] = None,
     resume: bool = True,
-    executor: Optional[Union[str, Executor]] = None,
+    executor: Optional[Union[str, ProcessPoolExecutor]] = None,
 ) -> CampaignResult:
     """Parallel, persistent, resumable drop-in for ``run_campaign``.
 

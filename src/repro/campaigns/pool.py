@@ -162,8 +162,7 @@ def _execute_shard_attempt(
     regenerated from its seed, the strategies and the pipeline
     components are rebuilt from their registry names, and the result is
     a serialisable :class:`ExperimentResult` -- nothing depends on
-    process state, so the same call runs inline, in a worker process,
-    or on another host.
+    process state, so the same call runs inline or in a worker process.
     """
     start = time.perf_counter()
     with ExitStack() as stack:

@@ -1079,7 +1079,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     camp.add_argument(
         "--executor", default=None, metavar="NAME",
-        choices=["serial", "process-pool", "local-cluster"],
+        choices=["serial", "process-pool"],
         help="execution engine for the shards (default: process-pool; "
              "see 'repro-ptg list executors')",
     )

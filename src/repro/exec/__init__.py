@@ -1,40 +1,28 @@
-"""Pluggable distributed executors for campaign shards.
+"""The campaign executor.
 
 ``repro.exec`` is the execution axis of the campaign subsystem: the
 :func:`~repro.campaigns.orchestrator.orchestrate` loop hands its pending
-shards to an :class:`~repro.exec.base.Executor` and consumes the
-resulting :class:`~repro.campaigns.pool.ShardOutcome` stream without
-caring how (or where) the shards actually ran.  Two executors ship
-built in, name-addressable through the
-:data:`~repro.scenarios.registry.EXECUTORS` registry:
+shards to a :class:`~repro.exec.procpool.ProcessPoolExecutor` and
+consumes the resulting :class:`~repro.campaigns.pool.ShardOutcome`
+stream.  The executor is name-addressable through the
+:data:`~repro.scenarios.registry.EXECUTORS` registry under two names:
 
-* ``process-pool`` (:mod:`repro.exec.procpool`) -- the original
-  :mod:`multiprocessing` fan-out, the default; ``jobs=1`` runs every
-  shard inline, and the registry name ``serial`` is an alias that
-  builds exactly that;
-* ``local-cluster`` (:mod:`repro.exec.cluster`) -- N independent worker
-  *processes* over a spool directory with durable work-stealing shard
-  leases (:mod:`repro.exec.leases`, :mod:`repro.exec.worker`), the
-  local stand-in for an ssh/queue-backed cluster.
+* ``process-pool`` -- the :mod:`multiprocessing` fan-out of
+  :func:`repro.campaigns.pool.run_shards`, the default;
+* ``serial`` -- an alias that builds the same executor with one job,
+  which runs every shard inline.
 
-Both run every shard through
-:func:`repro.campaigns.pool.execute_shard`, so campaign aggregates are
-bit-identical whichever executor produced them.
+Every shard runs through :func:`repro.campaigns.pool.execute_shard`, so
+campaign aggregates are bit-identical whichever name is chosen and
+however many jobs run.
 """
 
-from repro.exec.base import DEFAULT_POLICY, ExecutionPolicy, Executor
-from repro.exec.cluster import LocalClusterExecutor
-from repro.exec.leases import Lease, LeaseBoard
-from repro.exec.procpool import ProcessPoolExecutor
+from repro.exec.procpool import DEFAULT_POLICY, ExecutionPolicy, ProcessPoolExecutor
 from repro.scenarios.registry import EXECUTORS
 
 __all__ = [
     "DEFAULT_POLICY",
     "EXECUTORS",
     "ExecutionPolicy",
-    "Executor",
-    "Lease",
-    "LeaseBoard",
-    "LocalClusterExecutor",
     "ProcessPoolExecutor",
 ]

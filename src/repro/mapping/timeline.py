@@ -279,8 +279,3 @@ class PlatformTimeline:
         """Undo every reservation made since :meth:`begin_transaction`."""
         for timeline in self._timelines.values():
             timeline.rollback_transaction()
-
-    def reset(self) -> None:
-        """Forget all reservations (used when re-mapping from scratch)."""
-        for cluster in self.platform:
-            self._timelines[cluster.name] = ClusterTimeline(cluster)

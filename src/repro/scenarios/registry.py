@@ -352,9 +352,9 @@ FAULTS.register(
 )
 
 #: Campaign executors: how :func:`repro.campaigns.orchestrator.orchestrate`
-#: fans shards out.  Factories are lazy (the :mod:`repro.exec` modules
-#: import the campaign pool, which imports the scenario layer) and
-#: forward keyword arguments to the executor constructors.
+#: fans shards out.  Factories are lazy (:mod:`repro.exec.procpool`
+#: imports the campaign pool, which imports the scenario layer) and
+#: forward keyword arguments to the executor constructor.
 EXECUTORS = Registry("executor")
 
 
@@ -375,13 +375,6 @@ def _serial_executor(**kwargs: Any) -> Any:
     return _process_pool_executor(**kwargs)
 
 
-def _local_cluster_executor(**kwargs: Any) -> Any:
-    """Build a :class:`repro.exec.cluster.LocalClusterExecutor` (lazy import)."""
-    from repro.exec.cluster import LocalClusterExecutor
-
-    return LocalClusterExecutor(**kwargs)
-
-
 EXECUTORS.register(
     "serial", _serial_executor,
     description="alias of process-pool with one job: every shard inline",
@@ -389,10 +382,6 @@ EXECUTORS.register(
 EXECUTORS.register(
     "process-pool", _process_pool_executor,
     description="multiprocessing fan-out across pool workers (default)",
-)
-EXECUTORS.register(
-    "local-cluster", _local_cluster_executor,
-    description="N worker processes over a spool with work-stealing shard leases",
 )
 
 #: All built-in registries, keyed by the plural nouns the CLI uses

@@ -4,13 +4,16 @@ import os
 
 import pytest
 
+from repro import obs
 from repro.campaigns.orchestrator import orchestrate, run_campaign_parallel
 from repro.campaigns.pool import RetryPolicy, execute_shard, run_shards
 from repro.campaigns.shards import ExperimentShard, make_shards
 from repro.campaigns.store import CampaignStore
-from repro.exceptions import CampaignError
+from repro.exceptions import CampaignError, ConfigurationError
+from repro.exec.procpool import ExecutionPolicy, ProcessPoolExecutor
 from repro.experiments.runner import CampaignConfig, run_campaign
 from repro.experiments.workload import WorkloadSpec
+from repro.obs import TelemetrySpec
 from repro.platform.builder import heterogeneous_platform
 
 
@@ -93,6 +96,106 @@ class TestParallelMatchesSerial:
         assert (
             rebuilt.average_relative_makespan() == serial.average_relative_makespan()
         )
+
+
+class TestWorkerUtilisation:
+    def test_serial_alias_divides_by_the_one_job_it_ran(self, config, monkeypatch):
+        """The gauge counts the jobs the executor ran, not the CPUs."""
+        import repro.campaigns.orchestrator as orchestrator
+
+        monkeypatch.setattr(orchestrator, "default_jobs", lambda: 8)
+        with obs.capture(TelemetrySpec(metrics=True)) as session:
+            orchestrate(config, executor="serial")
+        gauges = session.registry.snapshot()["gauges"]
+        assert gauges["campaign.worker_utilisation"]["value"] > 0.5
+
+    @pytest.mark.parametrize("executor, jobs", [
+        ("process-pool", 1),
+        (ProcessPoolExecutor(jobs=1), None),
+        (ProcessPoolExecutor(jobs=8), 1),
+    ], ids=["jobs-1", "instance-of-one-job", "jobs-win-over-instance"])
+    def test_divides_by_the_jobs_the_executor_ran(
+        self, config, monkeypatch, executor, jobs
+    ):
+        """One inline job keeps the gauge near 1 whatever the CPU count."""
+        import repro.campaigns.orchestrator as orchestrator
+
+        monkeypatch.setattr(orchestrator, "default_jobs", lambda: 8)
+        with obs.capture(TelemetrySpec(metrics=True)) as session:
+            orchestrate(config, executor=executor, jobs=jobs)
+        gauges = session.registry.snapshot()["gauges"]
+        assert gauges["campaign.worker_utilisation"]["value"] > 0.5
+
+
+class RecordingPool(ProcessPoolExecutor):
+    """A pool that records every submission, as the campaign benchmark's does."""
+
+    def __init__(self, jobs=None):
+        super().__init__(jobs)
+        self.submissions = []
+
+    def submit_shards(self, shards, store=None, policy=None, cache=None):
+        self.submissions.append((list(shards), store, policy, cache))
+        return super().submit_shards(shards, store=store, policy=policy, cache=cache)
+
+
+class TestExecutorSelection:
+    @pytest.mark.parametrize("executor, jobs", [
+        ("serial", None),
+        ("process-pool", 2),
+        (ProcessPoolExecutor(jobs=2), None),
+        (RecordingPool(jobs=2), None),
+    ], ids=["serial", "process-pool", "instance", "subclass"])
+    def test_aggregates_match_the_serial_runner(self, config, serial, executor, jobs):
+        run = orchestrate(config, jobs=jobs, executor=executor)
+        assert run.result.experiments == serial.experiments
+        assert run.result.average_unfairness() == serial.average_unfairness()
+        assert (
+            run.result.average_relative_makespan()
+            == serial.average_relative_makespan()
+        )
+
+    @pytest.mark.parametrize("name", ["slurm", "local-cluster"])
+    def test_unknown_executor_name_is_refused(self, config, name):
+        with pytest.raises(ConfigurationError, match="unknown executor") as caught:
+            orchestrate(config, executor=name)
+        assert "['serial', 'process-pool']" in str(caught.value)
+
+    def test_a_store_run_submits_its_store_policy_and_cache(self, config, tmp_path):
+        pool = RecordingPool(jobs=2)
+        retry = RetryPolicy(attempts=2)
+        orchestrate(config, store=tmp_path / "s", jobs=1, retry=retry, executor=pool)
+        ((shards, store, policy, cache),) = pool.submissions
+        assert [s.key() for s in shards] == [s.key() for s in make_shards(config)]
+        assert isinstance(store, CampaignStore) and store.root == tmp_path / "s"
+        assert policy == ExecutionPolicy(jobs=1, retry=retry, return_workload=True)
+        assert cache is not None and cache.entries == store.load_cache().entries
+
+    def test_an_in_memory_run_submits_no_store_and_no_cache(self, config):
+        pool = RecordingPool()
+        orchestrate(config, jobs=1, executor=pool)
+        ((shards, store, policy, cache),) = pool.submissions
+        assert len(shards) == len(make_shards(config))
+        assert store is None and cache is None
+        assert policy == ExecutionPolicy(jobs=1, retry=None, return_workload=False)
+
+    @pytest.mark.parametrize("use_store, archive, requested", [
+        (False, True, False),
+        (True, True, True),
+        (True, False, False),
+    ], ids=["no-store", "archive", "no-archive"])
+    def test_workloads_are_requested_only_for_the_archive(
+        self, config, tmp_path, use_store, archive, requested
+    ):
+        pool = RecordingPool(jobs=1)
+        store = CampaignStore(tmp_path / "s") if use_store else None
+        orchestrate(config, store=store, archive_workloads=archive, executor=pool)
+        ((_, _, policy, _),) = pool.submissions
+        assert policy.return_workload is requested
+        if use_store:
+            assert store.workloads_dir.exists() is archive
+            for shard in make_shards(config) if archive else ():
+                assert len(store.load_workload(shard.key())) == shard.spec.n_ptgs
 
 
 class TestResume:

@@ -473,16 +473,21 @@ class TestExecutorFlags:
     def test_list_executors(self, capsys):
         assert main(["list", "executors"]) == 0
         out = capsys.readouterr().out
-        for name in ("serial", "process-pool", "local-cluster"):
+        for name in ("serial", "process-pool"):
             assert name in out
+        assert "local-cluster" not in out
 
     def test_campaign_accepts_an_executor(self, capsys):
         assert main(self.CAMPAIGN_ARGS + ["--executor", "serial"]) == 0
         assert "shards: 1 total" in capsys.readouterr().out
 
     def test_campaign_rejects_an_unknown_executor(self, capsys):
-        with pytest.raises(SystemExit):
-            main(self.CAMPAIGN_ARGS + ["--executor", "slurm"])
+        for name in ("slurm", "local-cluster"):
+            with pytest.raises(SystemExit) as caught:
+                main(self.CAMPAIGN_ARGS + ["--executor", name])
+            assert caught.value.code == 2
+            err = capsys.readouterr().err
+            assert "invalid choice" in err and name in err
 
     @pytest.mark.parametrize("extra, pool_size", [([], 1), (["--jobs", "2"], 2)],
                              ids=["no-jobs", "jobs-2"])
@@ -505,6 +510,20 @@ class TestExecutorFlags:
         assert main(args + ["--executor", "serial"] + extra) == 0
         assert "shards: 2 total" in capsys.readouterr().out
         assert seen == [pool_size]
+
+    def test_both_executors_store_byte_identical_summaries(self, capsys, tmp_path):
+        args = ["campaign", "--workloads", "2", "--ptg-counts", "2", "--platforms",
+                "lille", "--max-tasks", "8", "--seed", "1", "--quiet"]
+        summaries = []
+        for name, jobs in (("serial", "1"), ("process-pool", "2")):
+            store = str(tmp_path / name)
+            assert main(args + ["--executor", name, "--jobs", jobs,
+                                "--store", store]) == 0
+            capsys.readouterr()
+            assert main(["store", "summarize", store, "--format", "json"]) == 0
+            summaries.append(capsys.readouterr().out)
+        assert json.loads(summaries[0])
+        assert summaries[0] == summaries[1]
 
 
 class TestStoreCommand:

@@ -87,13 +87,6 @@ class TestPlatformTimeline:
         with pytest.raises(MappingError):
             pt.timeline("nope")
 
-    def test_reset(self, small_platform):
-        pt = PlatformTimeline(small_platform)
-        name = small_platform.cluster_names()[0]
-        pt.timeline(name).reserve(1, 0.0, 10.0)
-        pt.reset()
-        assert pt.timeline(name).earliest_start(1, 0.0) == 0.0
-
 
 class TestTimelineEdgeCases:
     """Boundary behaviour of the incremental sorted-free-time timeline."""
